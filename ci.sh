@@ -15,6 +15,9 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+echo "== perfbench builds and self-tests against the workspace APIs"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 

@@ -44,12 +44,11 @@ use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use typecheck_core::Instance;
 use xmlta_base::FxHashMap;
 use xmlta_service::batch::{result_json_line, run_batch, stream_batch_items, BatchItem};
 use xmlta_service::{
-    check_instance, fingerprint_instance, parse_instance, print_instance, ComponentFingerprints,
-    ItemStatus, Json, RetainedEngine,
+    check_instance, check_instance_keyed, parse_instance, print_instance, ItemStatus, Json,
+    RetainedEngine,
 };
 
 /// What the connection loop should do after a frame.
@@ -150,8 +149,9 @@ enum JobKind {
 
 /// A typecheck target after handle resolution.
 enum TypecheckWork {
-    /// A registered instance (handle resolved in the reader).
-    Prepared(Arc<Instance>),
+    /// A registered instance (handle resolved in the reader), carrying
+    /// its memo key from registration.
+    Prepared(Arc<Prepared>),
     /// Inline textual source (parsed in the worker).
     Source(String),
 }
@@ -299,7 +299,7 @@ impl Session {
                 let resolve_span = xmlta_obs::span("resolve");
                 let work = match target {
                     Target::Handle(handle) => match self.handles.get(&handle) {
-                        Some(prepared) => TypecheckWork::Prepared(Arc::clone(&prepared.instance)),
+                        Some(prepared) => TypecheckWork::Prepared(Arc::clone(prepared)),
                         None => {
                             return Planned::Reply(
                                 proto::error_frame(&Reject {
@@ -332,9 +332,10 @@ impl Session {
                             resolved.push(BatchItem::from_source(name, source))
                         }
                         Target::Handle(handle) => match self.handles.get(&handle) {
-                            Some(prepared) => resolved.push(BatchItem::from_prepared(
+                            Some(prepared) => resolved.push(BatchItem::from_keyed(
                                 name,
                                 Arc::clone(&prepared.instance),
+                                prepared.key(),
                             )),
                             None => {
                                 return Planned::Reply(
@@ -589,11 +590,9 @@ impl Session {
                 })
             }
         };
-        let fp_old = ComponentFingerprints::of(&old.instance);
-        let fp_new = ComponentFingerprints::of(&new.instance);
-        let reused = fp_new.shared_with(&fp_old) as u64;
+        let reused = new.fingerprints().shared_with(old.fingerprints()) as u64;
         counters.components_reused.add(reused);
-        let status = update_status(&self.shared, &old, &new, &fp_old, &fp_new);
+        let status = update_status(&self.shared, &old, &new);
         self.handles.insert(new.handle.clone(), Arc::clone(&new));
         let b = ResponseBuilder::new(id, true).str_field("handle", &new.handle);
         let b = match &status {
@@ -624,14 +623,14 @@ impl Session {
 /// `TypeChecks` (where the response carries no witness bytes); failing
 /// verdicts re-render through the canonical [`check_instance`] path so
 /// counterexample bytes match a from-scratch check exactly.
-fn update_status(
-    shared: &Shared,
-    old: &Prepared,
-    new: &Prepared,
-    fp_old: &ComponentFingerprints,
-    fp_new: &ComponentFingerprints,
-) -> ItemStatus {
+///
+/// Both versions carry their fingerprints and memo keys from registration,
+/// so nothing here hashes an instance; the successor's verdict is filed
+/// under its carried key with its own `Arc`, so the follow-up `typecheck`
+/// of the new handle hits by pointer identity.
+fn update_status(shared: &Shared, old: &Prepared, new: &Prepared) -> ItemStatus {
     let cache = shared.cache();
+    let (fp_old, fp_new) = (old.fingerprints(), new.fingerprints());
     let schemas_unchanged = fp_old.alphabet == fp_new.alphabet
         && fp_old.input == fp_new.input
         && fp_old.output == fp_new.output;
@@ -651,11 +650,10 @@ fn update_status(
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(engine);
                 if type_checks {
-                    let fp = fingerprint_instance(&new.instance);
-                    cache.memo_insert(fp, &new.instance, &ItemStatus::TypeChecks);
+                    cache.memo_insert(new.key(), &new.instance, &ItemStatus::TypeChecks);
                     return ItemStatus::TypeChecks;
                 }
-                return check_instance(&new.instance, Some(cache));
+                return check_instance_keyed(&new.instance, Some(new.key()), Some(cache));
             }
             // Unsupported edit shape (the engine may be stale): drop it
             // and fall through to a from-scratch check.
@@ -665,7 +663,7 @@ fn update_status(
     // an unsupported transducer edit): full check through the canonical
     // path, then seed an engine on the successor so the *next* update is
     // incremental.
-    let status = check_instance(&new.instance, Some(cache));
+    let status = check_instance_keyed(&new.instance, Some(new.key()), Some(cache));
     if RetainedEngine::applicable(&new.instance) {
         let mut slot = new
             .engine
@@ -709,9 +707,11 @@ fn execute_job(shared: &Shared, job: Job) -> String {
     match job.kind {
         JobKind::Typecheck { work } => {
             let status = match work {
-                TypecheckWork::Prepared(instance) => {
-                    check_instance(&instance, Some(shared.cache()))
-                }
+                TypecheckWork::Prepared(prepared) => check_instance_keyed(
+                    &prepared.instance,
+                    Some(prepared.key()),
+                    Some(shared.cache()),
+                ),
                 TypecheckWork::Source(source) => match parse_instance(&source) {
                     Ok(instance) => check_instance(&Arc::new(instance), Some(shared.cache())),
                     Err(e) => ItemStatus::Error {

@@ -31,7 +31,8 @@ use xmlta_schema::StringLang;
 use xmlta_service::binfmt::{decode_instance, BinError};
 use xmlta_service::lru::Lru;
 use xmlta_service::{
-    parse_instance, warm_instance, ArtifactBackend, ParseError, RetainedEngine, SchemaCache,
+    parse_instance, warm_instance, ArtifactBackend, ComponentFingerprints, ParseError,
+    RetainedEngine, SchemaCache,
 };
 
 /// Default bound on distinct registered contents.
@@ -75,8 +76,17 @@ impl RegisteredContent {
     }
 }
 
-/// A registered instance: parse (or decode) once, compile once, typecheck
-/// many times.
+/// A registered instance: parse (or decode) once, compile once,
+/// fingerprint once, typecheck many times.
+///
+/// The memo key contract: [`Prepared::key`] equals
+/// [`fingerprint_instance`](xmlta_service::fingerprint_instance)`(&instance)`
+/// and [`Prepared::fingerprints`] equals
+/// [`ComponentFingerprints::of`]`(&instance)`, both computed once at
+/// registration. Typechecking by handle probes the
+/// result memo with the carried key, and because every typecheck of this
+/// handle passes the same `Arc`, its memo hits verify by pointer identity;
+/// any other instance filed under the key is still verified structurally.
 pub struct Prepared {
     /// The content-derived handle (see [`handle_for_source`]).
     pub handle: String,
@@ -87,12 +97,31 @@ pub struct Prepared {
     /// into the shared cache at registration, so typechecking it skips
     /// the front-end entirely and hits the cache on every product.
     pub instance: Arc<Instance>,
+    /// See [`Prepared::fingerprints`]; private so the pair can only come
+    /// from [`Shared`]'s registration, which computes it from `instance`.
+    fingerprints: ComponentFingerprints,
+    /// See [`Prepared::key`].
+    key: u64,
     /// A Lemma 14 engine retained across `update` versions: an update
     /// resolving this prepared instance *takes* the engine, applies the
     /// edit incrementally, and parks the updated engine on the successor
     /// version. Empty until the first update touches this instance (and
     /// for instances the retained-engine path cannot serve).
     pub engine: Mutex<Option<RetainedEngine>>,
+}
+
+impl Prepared {
+    /// The per-component fingerprints of the instance — what an `update`
+    /// compares to count reused components and to decide whether the
+    /// retained engine still applies.
+    pub fn fingerprints(&self) -> &ComponentFingerprints {
+        &self.fingerprints
+    }
+
+    /// The result-memo key of the instance (`fingerprints().combined()`).
+    pub fn key(&self) -> u64 {
+        self.key
+    }
 }
 
 /// The bounded dedup table: content hash → prepared instances with that
@@ -298,8 +327,9 @@ impl Shared {
             .map(Arc::clone)
     }
 
-    /// Prepares and retains a freshly parsed/decoded instance, evicting
-    /// the least recently used content when over capacity.
+    /// Prepares, fingerprints, and retains a freshly parsed/decoded
+    /// instance, evicting the least recently used content when over
+    /// capacity.
     fn adopt(
         &self,
         handle: String,
@@ -308,32 +338,31 @@ impl Shared {
     ) -> Arc<Prepared> {
         let fp = fingerprint_content(content.kind(), content.as_bytes());
         let instance = self.prepare(instance);
+        let fingerprints = ComponentFingerprints::of(&instance);
         let mut registry = self
             .registry
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entries) = registry.lru.get_mut(&fp) {
-            if let Some(hit) = entries
+        let bucket = registry.lru.get_mut(&fp);
+        if let Some(hit) = bucket.as_ref().and_then(|entries| {
+            entries
                 .iter()
                 .find(|p| p.content.matches(content.kind(), content.as_bytes()))
-            {
-                return Arc::clone(hit);
-            }
-            let prepared = Arc::new(Prepared {
-                handle,
-                content,
-                instance: Arc::new(instance),
-                engine: Mutex::new(None),
-            });
-            entries.push(Arc::clone(&prepared));
-            return prepared;
+        }) {
+            return Arc::clone(hit);
         }
         let prepared = Arc::new(Prepared {
             handle,
             content,
             instance: Arc::new(instance),
+            key: fingerprints.combined(),
+            fingerprints,
             engine: Mutex::new(None),
         });
+        if let Some(entries) = bucket {
+            entries.push(Arc::clone(&prepared));
+            return prepared;
+        }
         if let Some((_, bucket)) = registry.lru.insert(fp, vec![Arc::clone(&prepared)]) {
             registry.evicted += bucket.len() as u64;
         }

@@ -21,10 +21,12 @@
 //!    proves no worker panicked, no worker leaked past the drain window,
 //!    and no registry lock was poisoned.
 
+mod support;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+use support::TempPath;
 use xmlta_server::fault::{FaultProxy, Schedule};
 use xmlta_server::proto;
 use xmlta_server::state::{handle_for_source, ServerCounters};
@@ -41,12 +43,6 @@ const SERVER_READ_TIMEOUT: Duration = Duration::from_millis(150);
 /// Injected stalls run past the server timeout but stay well under the
 /// client's, so both reapers see action without wedging the test.
 const STALL: Duration = Duration::from_millis(250);
-
-fn tmp_sock(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("xmlta-chaos-{}-{tag}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
 
 /// The workload: register frames ride as the reconnect prelude (handles
 /// are session-scoped and registration is content-keyed idempotent);
@@ -97,11 +93,20 @@ enum Transport {
     Tcp,
 }
 
+impl Transport {
+    fn tag(self) -> &'static str {
+        match self {
+            Transport::Unix => "unix",
+            Transport::Tcp => "tcp",
+        }
+    }
+}
+
 /// One seed × schedule round; returns (reconnects, replayed,
 /// read_timeouts) observed.
 fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
-    let sock = tmp_sock(&format!("srv-{seed}"));
-    let proxy_sock = tmp_sock(&format!("proxy-{seed}"));
+    let sock = TempPath::new(&format!("chaos-{}-srv-{seed}", transport.tag()));
+    let proxy_sock = TempPath::new(&format!("chaos-{}-proxy-{seed}", transport.tag()));
     let shared = Shared::new();
     let config = ServerConfig {
         read_timeout: Some(SERVER_READ_TIMEOUT),
@@ -113,7 +118,7 @@ fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
         Transport::Tcp => Bound::bind(None, Some("127.0.0.1:0")).expect("bind tcp socket"),
     };
     let upstream = match transport {
-        Transport::Unix => ServerAddr::Unix(sock.clone()),
+        Transport::Unix => ServerAddr::Unix(sock.to_path_buf()),
         Transport::Tcp => {
             ServerAddr::Tcp(bound.tcp_addr().expect("bound tcp has an addr").to_string())
         }
@@ -138,7 +143,7 @@ fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
     // The same workload through the fault proxy.
     let schedule = Schedule::from_seed(seed, FAULTED_CONNS, STALL);
     let proxy = FaultProxy::spawn(&proxy_sock, upstream.clone(), schedule).expect("proxy binds");
-    let mut chaotic = resilient(ServerAddr::Unix(proxy_sock.clone()), seed, &prelude);
+    let mut chaotic = resilient(ServerAddr::Unix(proxy_sock.to_path_buf()), seed, &prelude);
     let answers = chaotic
         .run(&work)
         .unwrap_or_else(|e| panic!("seed {seed}: chaos run failed: {e}"));
@@ -227,8 +232,6 @@ fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
     if let Err(e) = served {
         panic!("seed {seed}: daemon did not drain cleanly: {e}");
     }
-    let _ = std::fs::remove_file(&sock);
-    let _ = std::fs::remove_file(&proxy_sock);
     observed
 }
 
@@ -282,7 +285,7 @@ fn torn_frames_yield_structured_errors_not_hangs() {
     // server must answer with a structured `malformed-frame` error (or
     // nothing, if the torn bytes never formed a line) and carry on — and
     // a fresh connection must find the daemon fully functional.
-    let sock = tmp_sock("torn");
+    let sock = TempPath::new("chaos-unix-torn");
     let shared = Shared::new();
     let config = ServerConfig {
         read_timeout: Some(SERVER_READ_TIMEOUT),
@@ -313,5 +316,4 @@ fn torn_frames_yield_structured_errors_not_hangs() {
         server.join().expect("no panic").is_ok(),
         "clean drain after torn frames"
     );
-    let _ = std::fs::remove_file(&sock);
 }

@@ -3,8 +3,11 @@
 //! run of the same script, regardless of scheduling — responses are a pure
 //! function of the connection's own requests.
 
-use std::path::{Path, PathBuf};
+mod support;
+
+use std::path::Path;
 use std::sync::Arc;
+use support::TempPath;
 use xmlta_server::proto::{self, BatchItemReq, Target};
 use xmlta_server::state::handle_for_source;
 use xmlta_server::{serve_unix, Client, ServerConfig, Shared};
@@ -44,24 +47,6 @@ transducer {
   (q, x) -> y
 }
 ";
-
-/// A scratch socket path (tempdir + pid + tag, removed on drop).
-struct SocketPath(PathBuf);
-
-impl SocketPath {
-    fn new(tag: &str) -> SocketPath {
-        let path =
-            std::env::temp_dir().join(format!("xmltad-test-{}-{tag}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        SocketPath(path)
-    }
-}
-
-impl Drop for SocketPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 /// The `.xtb` encoding of a source (what `xmlta convert` would ship).
 fn encode(source: &str) -> Vec<u8> {
@@ -149,14 +134,14 @@ fn wait_for_socket(path: &Path) -> Client {
 
 #[test]
 fn n_clients_see_byte_identical_transcripts() {
-    let socket = SocketPath::new("concurrent");
+    let socket = TempPath::new("sessions-unix-concurrent");
     let shared = Shared::new();
-    let daemon = start(&socket.0, Arc::clone(&shared));
+    let daemon = start(&socket, Arc::clone(&shared));
     let frames = script();
 
     // Reference: one cold connection (the very first, so it also covers
     // the all-misses cache path).
-    let mut reference_client = wait_for_socket(&socket.0);
+    let mut reference_client = wait_for_socket(&socket);
     let reference = play(&mut reference_client, &frames);
     drop(reference_client);
     assert_eq!(reference.len(), frames.len());
@@ -179,7 +164,7 @@ fn n_clients_see_byte_identical_transcripts() {
     let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|i| {
-                let socket = &socket.0;
+                let socket = &socket;
                 let frames = &frames;
                 scope.spawn(move || {
                     let mut client = wait_for_socket(socket);
@@ -206,7 +191,7 @@ fn n_clients_see_byte_identical_transcripts() {
         "concurrent sessions share the warm cache: {stats:?}"
     );
 
-    let mut closer = wait_for_socket(&socket.0);
+    let mut closer = wait_for_socket(&socket);
     closer
         .roundtrip(&proto::req_shutdown(99))
         .expect("shutdown");
@@ -217,14 +202,14 @@ fn n_clients_see_byte_identical_transcripts() {
 fn shutdown_with_idle_connections_drains_cleanly() {
     // Idle open connections are closed out at shutdown — they are not
     // leaked workers, and the daemon must exit promptly and cleanly.
-    let socket = SocketPath::new("idle");
-    let daemon = start(&socket.0, Shared::new());
-    let mut idle1 = wait_for_socket(&socket.0);
-    let mut idle2 = wait_for_socket(&socket.0);
+    let socket = TempPath::new("sessions-unix-idle");
+    let daemon = start(&socket, Shared::new());
+    let mut idle1 = wait_for_socket(&socket);
+    let mut idle2 = wait_for_socket(&socket);
     idle2
         .roundtrip(&proto::req_ping(1))
         .expect("idle2 is live before shutdown");
-    let mut closer = wait_for_socket(&socket.0);
+    let mut closer = wait_for_socket(&socket);
     closer.roundtrip(&proto::req_shutdown(1)).expect("shutdown");
     // `start` panics inside the daemon thread if serve_unix returns an
     // error, so a clean join is the no-leaked-workers assertion.
@@ -303,18 +288,18 @@ fn registry_is_bounded_and_evicted_handles_keep_resolving() {
 fn sequential_reconnects_stay_deterministic() {
     // The same script on a warm server (second, third connection) must
     // produce the cold transcript too — cache warmth must not leak.
-    let socket = SocketPath::new("sequential");
-    let daemon = start(&socket.0, Shared::new());
+    let socket = TempPath::new("sessions-unix-sequential");
+    let daemon = start(&socket, Shared::new());
     let frames = script();
-    let mut first = wait_for_socket(&socket.0);
+    let mut first = wait_for_socket(&socket);
     let reference = play(&mut first, &frames);
     drop(first);
     for round in 0..3 {
-        let mut client = wait_for_socket(&socket.0);
+        let mut client = wait_for_socket(&socket);
         let transcript = play(&mut client, &frames);
         assert_eq!(transcript, reference, "round {round}");
     }
-    let mut closer = wait_for_socket(&socket.0);
+    let mut closer = wait_for_socket(&socket);
     closer.roundtrip(&proto::req_shutdown(1)).expect("shutdown");
     daemon.join().expect("daemon thread");
 }

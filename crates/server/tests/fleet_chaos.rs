@@ -23,10 +23,12 @@
 //!    serve thread returns `Ok`, which also proves no session worker
 //!    leaked or panicked and every shard exited on request.
 
+mod support;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::TempPath;
 use xmlta_server::fault::{self, FleetSchedule};
 use xmlta_server::proto;
 use xmlta_server::router::{route_key, Router, RouterBound, RouterConfig};
@@ -48,9 +50,8 @@ const STALL: Duration = Duration::from_millis(700);
 const ROUND_PAUSE: Duration = Duration::from_millis(120);
 const ROUNDS: usize = 6;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlta-fleet-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn tmp_dir(tag: &str) -> TempPath {
+    let dir = TempPath::new(tag);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
@@ -155,11 +156,7 @@ fn run_workload(
 
 /// The fault-free single-daemon transcript of `wl`.
 fn baseline(seed: u64, wl: &Workload) -> (BTreeMap<u64, String>, BTreeMap<u64, Vec<String>>) {
-    let sock = std::env::temp_dir().join(format!(
-        "xmlta-fleet-base-{}-{seed}.sock",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&sock);
+    let sock = TempPath::new(&format!("fleet-unix-base-{seed}"));
     let shared = Shared::new();
     let config = ServerConfig {
         drain: Duration::from_secs(5),
@@ -170,7 +167,7 @@ fn baseline(seed: u64, wl: &Workload) -> (BTreeMap<u64, String>, BTreeMap<u64, V
         let shared = Arc::clone(&shared);
         move || bound.serve(shared, config)
     });
-    let mut client = resilient(ServerAddr::Unix(sock.clone()), seed, &wl.prelude);
+    let mut client = resilient(ServerAddr::Unix(sock.to_path_buf()), seed, &wl.prelude);
     let result = run_workload(&mut client, wl, false);
     assert_eq!(client.reconnects(), 0, "fault-free baseline reconnected");
     let mut admin = Client::connect(&sock).expect("baseline admin");
@@ -181,7 +178,6 @@ fn baseline(seed: u64, wl: &Workload) -> (BTreeMap<u64, String>, BTreeMap<u64, V
         .join()
         .expect("baseline thread")
         .expect("baseline drains cleanly");
-    let _ = std::fs::remove_file(&sock);
     result
 }
 
@@ -211,24 +207,20 @@ fn fleet_round(seed: u64) {
     }
 
     // The fleet: 3 shard daemons on one shared store.
-    let store = tmp_dir(&format!("store-{seed}"));
-    let runtime = tmp_dir(&format!("rt-{seed}"));
+    let store = tmp_dir(&format!("fleet-store-{seed}"));
+    let runtime = tmp_dir(&format!("fleet-rt-{seed}"));
     let cfg = RouterConfig {
         shards: SHARDS,
-        store: Some(store.clone()),
+        store: Some(store.to_path_buf()),
         shard_command: Some(vec![env!("CARGO_BIN_EXE_xmltad").to_string()]),
-        runtime_dir: Some(runtime.clone()),
+        runtime_dir: Some(runtime.to_path_buf()),
         link_read_timeout: LINK_READ_TIMEOUT,
         drain: Duration::from_secs(10),
         quiet: true,
         ..RouterConfig::default()
     };
     let router = Router::spawn(cfg).expect("fleet boots");
-    let front = std::env::temp_dir().join(format!(
-        "xmlta-fleet-front-{}-{seed}.sock",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&front);
+    let front = TempPath::new(&format!("fleet-unix-front-{seed}"));
     let bound = RouterBound::bind(Some(&front), None).expect("bind router front");
     let serve = std::thread::spawn({
         let router = Arc::clone(&router);
@@ -244,10 +236,15 @@ fn fleet_round(seed: u64) {
     ));
     let schedule = FleetSchedule::from_seed(seed, SHARDS, batch_shard, STALL);
     assert!(schedule.kills() >= 1, "every schedule kills at least once");
-    let chaos = fault::unleash(schedule, Arc::clone(&router), Some(store.clone()), seed);
+    let chaos = fault::unleash(
+        schedule,
+        Arc::clone(&router),
+        Some(store.to_path_buf()),
+        seed,
+    );
 
     let started = Instant::now();
-    let mut client = resilient(ServerAddr::Unix(front.clone()), seed, &wl.prelude);
+    let mut client = resilient(ServerAddr::Unix(front.to_path_buf()), seed, &wl.prelude);
     let (answers, streams) = run_workload(&mut client, &wl, true);
     let elapsed = started.elapsed();
 
@@ -348,10 +345,6 @@ fn fleet_round(seed: u64) {
         .join()
         .expect("router serve thread must not panic")
         .unwrap_or_else(|e| panic!("seed {seed}: fleet did not drain cleanly: {e}"));
-
-    let _ = std::fs::remove_file(&front);
-    let _ = std::fs::remove_dir_all(&store);
-    let _ = std::fs::remove_dir_all(&runtime);
 }
 
 #[test]

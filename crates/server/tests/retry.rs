@@ -8,31 +8,25 @@
 //! budget is consumed by the turn-away succeeds if and only if the
 //! final-attempt hint is honoured.
 
+mod support;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::TempPath;
 use xmlta_server::{proto, ResilientClient, RetryPolicy, ServerAddr};
 use xmlta_service::parse_json;
 
 const HINT_MS: u64 = 80;
 
-fn tmp_sock(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("xmlta-retry-{}-{tag}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
 /// A fake daemon: the first `turn_away` connections get an overloaded
 /// frame (with the `retry_after_ms` hint) and an immediate close; later
 /// connections speak just enough protocol to ack every id-bearing
 /// frame. Returns the listener thread and a connection counter.
-fn fake_server(
-    sock: &PathBuf,
-    turn_away: usize,
-) -> (std::thread::JoinHandle<()>, Arc<AtomicUsize>) {
+fn fake_server(sock: &Path, turn_away: usize) -> (std::thread::JoinHandle<()>, Arc<AtomicUsize>) {
     let listener = UnixListener::bind(sock).expect("bind fake server");
     let conns = Arc::new(AtomicUsize::new(0));
     let handle = {
@@ -79,7 +73,7 @@ fn fake_server(
 
 #[test]
 fn final_attempt_honors_the_retry_after_hint() {
-    let sock = tmp_sock("final-hint");
+    let sock = TempPath::new("retry-unix-final-hint");
     let (server, conns) = fake_server(&sock, 1);
     // One budgeted attempt: the turn-away consumes the entire budget, so
     // only the post-hint bonus attempt can reach the served connection.
@@ -89,7 +83,7 @@ fn final_attempt_honors_the_retry_after_hint() {
         max_ms: 5,
         seed: 3,
     };
-    let mut client = ResilientClient::new(ServerAddr::Unix(sock.clone()), policy);
+    let mut client = ResilientClient::new(ServerAddr::Unix(sock.to_path_buf()), policy);
     client.set_read_timeout(Some(Duration::from_secs(5)));
     let work = vec![(7u64, proto::req_ping(7))];
     let started = Instant::now();
@@ -111,12 +105,11 @@ fn final_attempt_honors_the_retry_after_hint() {
     );
     drop(client); // EOF ends the served connection, then the thread
     server.join().expect("fake server thread");
-    let _ = std::fs::remove_file(&sock);
 }
 
 #[test]
 fn persistent_overload_stays_terminal_after_one_bonus_attempt() {
-    let sock = tmp_sock("terminal");
+    let sock = TempPath::new("retry-unix-terminal");
     // Every connection is turned away: the client must give up after its
     // budget plus exactly one post-hint bonus — a persistently
     // overloaded server must not pin it in a hint loop.
@@ -127,7 +120,7 @@ fn persistent_overload_stays_terminal_after_one_bonus_attempt() {
         max_ms: 5,
         seed: 3,
     };
-    let mut client = ResilientClient::new(ServerAddr::Unix(sock.clone()), policy);
+    let mut client = ResilientClient::new(ServerAddr::Unix(sock.to_path_buf()), policy);
     client.set_read_timeout(Some(Duration::from_secs(5)));
     let err = client
         .run(&[(1u64, proto::req_ping(1))])
@@ -139,5 +132,4 @@ fn persistent_overload_stays_terminal_after_one_bonus_attempt() {
         "two budgeted attempts plus one bonus, no hint loop"
     );
     drop(server); // the listener thread blocks on accept; detach it
-    let _ = std::fs::remove_file(&sock);
 }

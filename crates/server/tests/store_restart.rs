@@ -5,18 +5,14 @@
 //! artifact from disk — byte-identical responses, `store_hits > 0`, and
 //! zero recompilation (`store_writes == 0`, `store_corrupt == 0`).
 
+mod support;
+
 use std::io::Cursor;
-use std::path::PathBuf;
 use std::sync::Arc;
+use support::TempPath;
 use xmlta_server::{proto, serve_stream, Session, Shared};
 use xmlta_service::{encode_stream, gen, parse_instance, ArtifactBackend};
 use xmlta_store::Store;
-
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlta-restart-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The session script both boots play: registrations, typechecks by
 /// handle and by source, and a binary batch. Deliberately no `stats`
@@ -58,17 +54,17 @@ fn boot_and_run(store: Arc<Store>) -> (String, xmlta_service::cache::CacheStats)
 
 #[test]
 fn second_boot_on_a_populated_store_is_warm_and_verdict_identical() {
-    let root = temp_root("warm");
+    let root = TempPath::new("restart-store-warm");
 
     // Boot 1: empty store — everything misses, compiles, writes behind.
-    let store = Arc::new(Store::open(&root).expect("store opens"));
+    let store = Arc::new(Store::open(root.to_path_buf()).expect("store opens"));
     let (first, cold) = boot_and_run(store);
     assert!(cold.store_writes > 0, "first boot populated the store");
     assert_eq!(cold.store_hits, 0, "nothing to adopt on an empty store");
     assert_eq!(cold.store_corrupt, 0, "no corruption on a fresh store");
 
     // Boot 2: a brand-new Shared (cold memory) on the same directory.
-    let store = Arc::new(Store::open(&root).expect("store reopens"));
+    let store = Arc::new(Store::open(root.to_path_buf()).expect("store reopens"));
     let (second, warm) = boot_and_run(store);
     assert_eq!(
         second, first,
@@ -83,13 +79,11 @@ fn second_boot_on_a_populated_store_is_warm_and_verdict_identical() {
 
     // Boot 3: same directory again, after a gc generous enough to keep
     // everything — still warm, still identical.
-    let store = Arc::new(Store::open(&root).expect("store reopens"));
+    let store = Arc::new(Store::open(root.to_path_buf()).expect("store reopens"));
     let report = store.gc(u64::MAX).expect("gc walks the store");
     assert_eq!(report.removed, 0, "generous gc evicted nothing");
     let (third, regc) = boot_and_run(store);
     assert_eq!(third, first, "gc'd store changed a response byte");
     assert!(regc.store_hits > 0);
     assert_eq!(regc.store_writes, 0);
-
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -4,17 +4,12 @@
 //! sheds with a structured frame, and idle connections are reaped with a
 //! `read-timeout` frame — all without disturbing live sessions.
 
-use std::path::PathBuf;
+mod support;
+
 use std::time::Duration;
+use support::TempPath;
 use xmlta_server::proto;
 use xmlta_server::{Bound, Client, ServerAddr, ServerConfig, Shared};
-
-fn tmp_sock(tag: &str) -> PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("xmlta-transport-{}-{tag}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
 
 const GOOD: &str = "\
 input dtd {
@@ -109,7 +104,7 @@ fn tcp_serves_the_same_protocol_goldens() {
 
 #[test]
 fn unix_and_tcp_listeners_share_one_state() {
-    let sock = tmp_sock("dual");
+    let sock = TempPath::new("transport-dual");
     let (unix, tcp, server) = spawn_server(Some(&sock), true, ServerConfig::default());
     let (unix, tcp) = (unix.unwrap(), tcp.unwrap());
     // Register over Unix; the prepared instance is shared process-wide,
@@ -145,7 +140,7 @@ fn unix_and_tcp_listeners_share_one_state() {
 
 #[test]
 fn connection_cap_sheds_with_a_structured_frame() {
-    let sock = tmp_sock("cap");
+    let sock = TempPath::new("transport-unix-cap");
     let config = ServerConfig {
         max_conns: 1,
         retry_after_ms: 75,
@@ -190,7 +185,7 @@ fn connection_cap_sheds_with_a_structured_frame() {
 
 #[test]
 fn idle_connections_are_reaped_with_a_read_timeout_frame() {
-    let sock = tmp_sock("idle");
+    let sock = TempPath::new("transport-unix-idle");
     let config = ServerConfig {
         read_timeout: Some(Duration::from_millis(120)),
         ..ServerConfig::default()

@@ -9,16 +9,22 @@
 //! expected verdict (a scratch server's reply) are both derived
 //! independently of the incremental path under test.
 
+mod support;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
+use support::TempPath;
 use typecheck_core::Instance;
 use xmlta_server::proto::{self, Edit};
 use xmlta_server::state::{apply_edit, handle_for_source};
-use xmlta_server::{Session, Shared};
+use xmlta_server::{Prepared, Session, Shared};
 use xmlta_service::json::Json;
-use xmlta_service::{parse_instance, parse_json, print_instance, ArtifactBackend};
+use xmlta_service::{
+    encode_instance, fingerprint_instance, gen, parse_instance, parse_json, print_instance,
+    ArtifactBackend, ComponentFingerprints,
+};
 use xmlta_store::Store;
 
 /// The base instance: typechecks, exercises both schema sides, and pins
@@ -100,13 +106,7 @@ fn random_edit(rng: &mut SmallRng, mirror: &Instance) -> Edit {
     }
 }
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlta-update-diff-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn make_shared(memo: bool, store_dir: Option<&PathBuf>) -> Arc<Shared> {
+fn make_shared(memo: bool, store_dir: Option<&Path>) -> Arc<Shared> {
     let memo_cap = if memo {
         xmlta_service::cache::DEFAULT_MEMO_CAPACITY
     } else {
@@ -225,19 +225,12 @@ fn incremental_updates_match_from_scratch_across_configs() {
         ("nomemo-nostore", false, false),
     ];
     for &(name, memo, store) in configs {
-        let dirs = (
-            temp_root(&format!("{name}-incr")),
-            temp_root(&format!("{name}-scratch")),
-        );
-        let (incr_dir, scratch_dir) = (&dirs.0, &dirs.1);
-        let shared = make_shared(memo, store.then_some(incr_dir));
-        let scratch = make_shared(memo, store.then_some(scratch_dir));
+        let incr_dir = TempPath::new(&format!("update-diff-{name}-incr"));
+        let scratch_dir = TempPath::new(&format!("update-diff-{name}-scratch"));
+        let shared = make_shared(memo, store.then_some(&*incr_dir));
+        let scratch = make_shared(memo, store.then_some(&*scratch_dir));
         for seed in [0xA5, 0x5A, 7] {
             run_script(&shared, &scratch, seed, 24);
-        }
-        if store {
-            let _ = std::fs::remove_dir_all(incr_dir);
-            let _ = std::fs::remove_dir_all(scratch_dir);
         }
     }
 }
@@ -299,4 +292,70 @@ fn update_flips_are_served_incrementally_with_reuse() {
             >= 2,
         "both updates reuse components"
     );
+}
+
+/// The memo-key contract of [`Prepared`]: the key and component
+/// fingerprints it carries from registration are exactly what hashing its
+/// instance afresh yields.
+fn assert_carries_honest_keys(prepared: &Prepared, what: &str) {
+    assert_eq!(
+        prepared.key(),
+        fingerprint_instance(&prepared.instance),
+        "{what}: carried memo key"
+    );
+    assert_eq!(
+        *prepared.fingerprints(),
+        ComponentFingerprints::of(&prepared.instance),
+        "{what}: carried component fingerprints"
+    );
+}
+
+/// Every registration path carries honest keys: `register` and
+/// `register_bin` over the generator's families, and every successor an
+/// `update` registers along a randomized edit script.
+#[test]
+fn registered_instances_carry_honest_memo_keys() {
+    let shared = Shared::new();
+    for (name, source) in gen::mixed_sources(24, 4, 11).expect("generators print") {
+        let text = shared.register(&source).expect("generated sources parse");
+        assert_carries_honest_keys(&text, &format!("register {name}"));
+        let bytes = encode_instance(&text.instance).expect("encodes");
+        let binary = shared.register_binary(&bytes).expect("decodes");
+        assert_carries_honest_keys(&binary, &format!("register_bin {name}"));
+        assert_eq!(
+            binary.key(),
+            text.key(),
+            "{name}: text and binary twins share a key"
+        );
+    }
+
+    for seed in [0xA5, 0x5A, 7] {
+        let mut session = Session::new(Arc::clone(&shared));
+        frame(&mut session, r#"{"id": 0, "op": "hello", "max_v": 2}"#);
+        let registered = frame(&mut session, &proto::req_register(1, BASE));
+        let mut handle = registered
+            .get("handle")
+            .and_then(|j| j.as_str())
+            .expect("base registers")
+            .to_string();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut mirror = parse_instance(BASE).expect("base parses");
+        for step in 0..24 {
+            let edit = random_edit(&mut rng, &mirror);
+            let update = frame(&mut session, &proto::req_update(100 + step, &handle, &edit));
+            handle = update
+                .get("handle")
+                .and_then(|j| j.as_str())
+                .unwrap_or_else(|| panic!("seed {seed} step {step}: update succeeds: {update:?}"))
+                .to_string();
+            // Registering the printed successor dedups onto the very
+            // artifact the update registered.
+            let printed = print_instance(&apply_edit(&mirror, &edit).expect("edit applies"))
+                .expect("edited instance prints");
+            let successor = shared.register(&printed).expect("printed successor parses");
+            assert_eq!(successor.handle, handle);
+            assert_carries_honest_keys(&successor, &format!("seed {seed} step {step} update"));
+            mirror = parse_instance(&printed).expect("printed successor parses");
+        }
+    }
 }

@@ -21,7 +21,8 @@ use typecheck_core::{Instance, Outcome};
 /// What a batch item checks: textual source (parsed per run), a binary
 /// `.xtb` frame (decoded per run — the fast cold path), or an
 /// already-parsed instance (e.g. one registered with a server session —
-/// the warm path skips the front-end entirely).
+/// the warm path skips the front-end entirely, and with the memo key
+/// carried from registration skips the fingerprint pass too).
 ///
 /// Payloads are `Arc`-shared so cloning an item (or fanning one source out
 /// to a thousand items) never copies the bytes.
@@ -33,6 +34,14 @@ pub enum BatchInput {
     Binary(Arc<[u8]>),
     /// A pre-parsed (typically pre-compiled) instance.
     Prepared(Arc<Instance>),
+    /// A pre-parsed instance with its memo key ([`fingerprint_instance`]),
+    /// computed once when the instance was registered.
+    Keyed {
+        /// The instance.
+        instance: Arc<Instance>,
+        /// Its memo key; must equal `fingerprint_instance(&instance)`.
+        key: u64,
+    },
 }
 
 /// One unit of work: a named instance (typically a file).
@@ -67,6 +76,15 @@ impl BatchItem {
         BatchItem {
             name: name.into(),
             input: BatchInput::Prepared(instance),
+        }
+    }
+
+    /// An item over a pre-parsed instance whose memo key the caller
+    /// carries (see [`BatchInput::Keyed`]).
+    pub fn from_keyed(name: impl Into<Arc<str>>, instance: Arc<Instance>, key: u64) -> BatchItem {
+        BatchItem {
+            name: name.into(),
+            input: BatchInput::Keyed { instance, key },
         }
     }
 }
@@ -284,6 +302,7 @@ fn process_inner(item: &BatchItem, cache: Option<&SchemaCache>) -> ItemResult {
             Ok(instance) => check_instance(&Arc::new(instance), cache),
         },
         BatchInput::Prepared(instance) => check_instance(instance, cache),
+        BatchInput::Keyed { instance, key } => check_instance_keyed(instance, Some(*key), cache),
     };
     ItemResult {
         name: Arc::clone(&item.name),
@@ -293,30 +312,40 @@ fn process_inner(item: &BatchItem, cache: Option<&SchemaCache>) -> ItemResult {
 
 /// Typechecks one parsed instance, folding the outcome into an
 /// [`ItemStatus`] — the status shared by batch records and the server's
-/// single-instance `typecheck` responses.
+/// single-instance `typecheck` responses. The key-less form of
+/// [`check_instance_keyed`]: with a cache, the memo key is computed here.
+pub fn check_instance(instance: &Arc<Instance>, cache: Option<&SchemaCache>) -> ItemStatus {
+    check_instance_keyed(instance, None, cache)
+}
+
+/// [`check_instance`] for a caller that may already hold the instance's
+/// memo key (`key`, equal to [`fingerprint_instance`] of `instance`; `None`
+/// computes it here).
 ///
 /// With a cache, the whole verdict is memoized by instance content
 /// ([`SchemaCache::memo_lookup`]): a repeated instance short-circuits here,
 /// before any engine or schema product is touched, and the served status
 /// is byte-identical to what recomputation would produce. The instance
 /// arrives as an `Arc` so the memo can retain it for hit verification
-/// without deep-cloning schemas and transducer.
-pub fn check_instance(instance: &Arc<Instance>, cache: Option<&SchemaCache>) -> ItemStatus {
-    let outcome = match cache {
-        Some(cache) => {
-            let memo_span = xmlta_obs::span("memo");
-            let fp = fingerprint_instance(instance);
-            if let Some(hit) = cache.memo_lookup(fp, instance) {
-                return hit;
-            }
-            memo_span.finish();
-            let status = render_status(typecheck_cached(cache, instance), instance);
-            cache.memo_insert(fp, instance, &status);
-            return status;
-        }
-        None => typecheck_core::typecheck(instance),
+/// without deep-cloning schemas and transducer — and so a registered
+/// instance, probed with its carried key, hits by pointer identity.
+pub fn check_instance_keyed(
+    instance: &Arc<Instance>,
+    key: Option<u64>,
+    cache: Option<&SchemaCache>,
+) -> ItemStatus {
+    let Some(cache) = cache else {
+        return render_status(typecheck_core::typecheck(instance), instance);
     };
-    render_status(outcome, instance)
+    let memo_span = xmlta_obs::span("memo");
+    let key = key.unwrap_or_else(|| fingerprint_instance(instance));
+    if let Some(hit) = cache.memo_lookup(key, instance) {
+        return hit;
+    }
+    memo_span.finish();
+    let status = render_status(typecheck_cached(cache, instance), instance);
+    cache.memo_insert(key, instance, &status);
+    status
 }
 
 /// Folds an engine outcome into the rendered [`ItemStatus`]. Public so the

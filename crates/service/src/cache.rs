@@ -22,6 +22,16 @@
 //! regardless of which parse produced it. The cache is shared across the
 //! batch driver's workers behind a mutex; compilation runs outside the
 //! lock, so a racing miss can compile twice but never corrupts the cache.
+//!
+//! On top of the compiled products sits the **typecheck result memo**
+//! ([`SchemaCache::memo_lookup`]): whole verdicts keyed by
+//! [`fingerprint_instance`]. Instances registered with a server carry that
+//! key from registration, so a memo probe for them hashes nothing; and
+//! since a registered instance is one shared `Arc`, its hits verify by
+//! pointer identity first. Every other hit — an inline source, a `.xts`
+//! item, an equal instance parsed twice — is verified structurally
+//! ([`instance_eq`]), so a 64-bit collision is a miss, never a wrong
+//! verdict.
 
 use crate::artifact::{self, Artifact, ArtifactKind};
 use crate::batch::ItemStatus;
@@ -254,15 +264,16 @@ impl SchemaCache {
     /// fingerprint `fp` ([`fingerprint_instance`]). A hit returns a clone
     /// of the stored verdict — byte-identical to what recomputation would
     /// render, because the stored verdict *was* computed from an instance
-    /// verified structurally equal (a colliding fingerprint counts as a
-    /// miss, never as a wrong answer).
+    /// verified equal: the very same allocation (pointer identity, the
+    /// registered-handle case), or else structurally equal. A colliding
+    /// fingerprint counts as a miss, never as a wrong answer.
     pub fn memo_lookup(&self, fp: u64, instance: &Instance) -> Option<ItemStatus> {
         let mut inner = self
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         match inner.memo.get(&fp) {
-            Some((source, status)) if instance_eq(source, instance) => {
+            Some((source, status)) if same_instance(source, instance) => {
                 let status = status.clone();
                 inner.stats.memo_hits += 1;
                 self.mirror.memo_hits.bump();
@@ -285,7 +296,7 @@ impl SchemaCache {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some((source, _)) = inner.memo.get(&fp) {
-            if !instance_eq(source, instance) {
+            if !same_instance(source, instance) {
                 return;
             }
         }
@@ -968,6 +979,12 @@ fn hash_expr(h: &mut FxHasher, e: &Expr) {
         }
         Expr::Wildcard => h.write_u8(5),
     }
+}
+
+/// The memo's slot verification: the occupant is the very instance probed
+/// (one `Arc`, so no walk is needed), or else structurally equal to it.
+fn same_instance(occupant: &Arc<Instance>, instance: &Instance) -> bool {
+    std::ptr::eq(&**occupant, instance) || instance_eq(occupant, instance)
 }
 
 /// Structural equality of two whole instances (the memo-hit verification):

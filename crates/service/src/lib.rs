@@ -84,8 +84,8 @@ pub mod parse;
 pub mod print;
 
 pub use batch::{
-    check_instance, run_batch, stream_batch_items, BatchInput, BatchItem, BatchOutcome, ItemResult,
-    ItemStatus,
+    check_instance, check_instance_keyed, run_batch, stream_batch_items, BatchInput, BatchItem,
+    BatchOutcome, ItemResult, ItemStatus,
 };
 pub use binfmt::{decode_instance, decode_stream, encode_instance, encode_stream, BinError};
 pub use cache::{

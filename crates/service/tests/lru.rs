@@ -4,7 +4,10 @@
 
 use std::sync::Arc;
 use xmlta_service::lru::Lru;
-use xmlta_service::{check_instance, parse_instance, SchemaCache};
+use xmlta_service::{
+    check_instance, check_instance_keyed, fingerprint_instance, parse_instance, ItemStatus,
+    SchemaCache,
+};
 
 #[test]
 fn eviction_follows_recency_exactly() {
@@ -140,4 +143,62 @@ fn memo_eviction_counters_reach_stats() {
         check_instance(&evicted, None),
         "re-computed verdict agrees with the uncached engine"
     );
+}
+
+/// Two structurally different members of one generator family.
+fn two_instances() -> (String, String) {
+    let a = xmlta_service::gen::layered_source(13, 2, 2, 0).expect("prints");
+    let b = xmlta_service::gen::layered_source(13, 2, 2, 1).expect("prints");
+    assert_ne!(a, b);
+    (a, b)
+}
+
+/// A forged collision: an instance probed under another instance's key
+/// must miss — neither the lookup nor an insert may let it near the
+/// occupant's verdict — and the occupant keeps its slot.
+#[test]
+fn memo_collision_under_an_occupied_key_misses() {
+    let (a, b) = two_instances();
+    let a = Arc::new(parse_instance(&a).expect("parses"));
+    let b = Arc::new(parse_instance(&b).expect("parses"));
+    let cache = SchemaCache::new();
+    let key = fingerprint_instance(&a);
+    let forged = ItemStatus::Error {
+        message: "the occupant's verdict".to_string(),
+    };
+    cache.memo_insert(key, &a, &forged);
+
+    assert_eq!(cache.memo_lookup(key, &b), None, "a colliding probe misses");
+    assert_eq!(cache.stats().memo_misses, 1);
+    // Checking `b` under the forged key computes its own verdict...
+    let status = check_instance_keyed(&b, Some(key), Some(&cache));
+    assert_eq!(status, check_instance(&b, None));
+    // ...and its insert leaves the occupant alone.
+    assert_eq!(cache.memo_lookup(key, &a), Some(forged));
+    assert_eq!(cache.memo_lookup(key, &b), None);
+}
+
+/// A registered instance checked with its carried key and an inline
+/// source of the same content (parsed afresh into a distinct `Arc`, key
+/// computed per call) share one memo entry: the registered instance
+/// re-hits by identity, and the inline check is a counted hit through
+/// structural verification.
+#[test]
+fn inline_source_hits_the_verdict_of_registered_content() {
+    let (source, _) = two_instances();
+    let registered = Arc::new(parse_instance(&source).expect("parses"));
+    let key = fingerprint_instance(&registered);
+    let cache = SchemaCache::new();
+    let by_handle = check_instance_keyed(&registered, Some(key), Some(&cache));
+    let again = check_instance_keyed(&registered, Some(key), Some(&cache));
+    assert_eq!(
+        cache.stats().memo_hits,
+        1,
+        "the registered instance re-hits"
+    );
+    let inline = Arc::new(parse_instance(&source).expect("parses"));
+    assert_eq!(check_instance(&inline, Some(&cache)), by_handle);
+    assert_eq!(again, by_handle);
+    let stats = cache.stats();
+    assert_eq!((stats.memo_hits, stats.memo_misses), (2, 1), "{stats:?}");
 }
