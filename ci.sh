@@ -37,10 +37,11 @@ cleanup() {
     fi
     # A router killed before its drain orphans its shard children; their
     # pids were announced on stderr.
-    if [[ -f "$smoke/router.err" ]]; then
-        sed -n 's/.*shard [0-9]* pid \([0-9]*\).*/\1/p' "$smoke/router.err" \
+    for err in "$smoke"/router*.err; do
+        [[ -f "$err" ]] || continue
+        sed -n 's/.*shard [0-9]* pid \([0-9]*\).*/\1/p' "$err" \
             | xargs -r kill -9 2>/dev/null || true
-    fi
+    done
     rm -rf "$smoke"
 }
 trap cleanup EXIT
@@ -371,6 +372,28 @@ xmlta client --socket "$rsock" shutdown > /dev/null
 wait "$daemon" || { echo "router exited nonzero (leaked workers or failed drain?)"; exit 1; }
 daemon=""
 [[ ! -e "$rsock" ]] || { echo "router socket file leaked"; exit 1; }
+
+echo "== router TCP smoke (port 0 + register/typecheck round-trip + clean shutdown)"
+# The router serves TCP through the daemon's listener; it announces the
+# resolved port on stderr once its fleet is up.
+./target/release/xmlta router --tcp 127.0.0.1:0 --runtime-dir "$smoke/fleet-rt-tcp" \
+    2> "$smoke/router-tcp.err" &
+daemon=$!
+tcp_addr=""
+for _ in $(seq 200); do
+    tcp_addr="$(sed -n 's/.*listening on tcp //p' "$smoke/router-tcp.err" | head -n1)"
+    [[ -n "$tcp_addr" ]] && break
+    sleep 0.1
+done
+[[ -n "$tcp_addr" ]] || { echo "router never announced its TCP port"; exit 1; }
+# `typecheck` registers the instance, then checks it by handle.
+xmlta client --tcp "$tcp_addr" typecheck "$pass_file" > "$smoke/router-tcp.txt" \
+    || { echo "typecheck through the router over TCP failed"; exit 1; }
+cmp <(head -n1 "$smoke/seq.txt") "$smoke/router-tcp.txt" \
+    || { echo "router TCP verdict differs from the Unix-socket daemon verdict"; exit 1; }
+xmlta client --tcp "$tcp_addr" shutdown > /dev/null
+wait "$daemon" || { echo "router (tcp) exited nonzero"; exit 1; }
+daemon=""
 
 echo "== fleet chaos smoke (fixed-seed differential round)"
 cargo test --release -q -p xmlta-server --test fleet_chaos fleet_smoke

@@ -1241,7 +1241,7 @@ fn router_fleet_series(
     reps: usize,
 ) -> Option<Vec<Point>> {
     use xmlta_server::proto;
-    use xmlta_server::{Client, Router, RouterBound, RouterConfig};
+    use xmlta_server::{Bound, Client, Router, RouterConfig};
 
     let xmltad = std::env::current_exe()
         .ok()
@@ -1368,10 +1368,10 @@ fn router_fleet_series(
             ..RouterConfig::default()
         })
         .expect("fleet boots");
-        let bound = RouterBound::bind(Some(&front_sock), None).expect("bind router front");
+        let bound = Bound::bind(Some(&front_sock), None).expect("bind router front");
         let serve = {
             let router = std::sync::Arc::clone(&router);
-            std::thread::spawn(move || bound.serve(router))
+            std::thread::spawn(move || bound.serve_router(router))
         };
         let mut client = connect(&front_sock);
         let (samples, transcript) = measure(&mut client, slice, reps);

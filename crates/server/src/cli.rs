@@ -1,11 +1,48 @@
 //! Serve-mode argument handling shared by the `xmltad` binary and the
 //! `xmlta serve` subcommand, plus the `xmlta router` front-end.
 
-use crate::router::{Router, RouterBound, RouterConfig};
-use crate::{serve_stdio, Bound, ServerConfig, Shared};
+use crate::router::{Router, RouterConfig};
+use crate::{serve_stdio, Bound, ServeError, ServerConfig, Shared};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// The value following `flag`; `what` names it in the error.
+fn value(it: &mut std::slice::Iter<'_, String>, flag: &str, what: &str) -> Result<String, String> {
+    it.next().cloned().ok_or(format!("{flag} needs {what}"))
+}
+
+/// Parses the count following `flag`.
+fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
+    value(it, flag, "a count")?
+        .parse()
+        .map_err(|_| format!("invalid {flag} value"))
+}
+
+/// Announces `bound`'s TCP address, runs `serve` on it, and maps the
+/// outcome to the serve-mode exit contract.
+fn serve_bound(
+    bound: Bound,
+    name: &str,
+    serve: impl FnOnce(Bound) -> Result<(), ServeError>,
+) -> Result<ExitCode, String> {
+    if let Some(addr) = bound.tcp_addr() {
+        // Announce the resolved address so callers binding port 0 can
+        // discover the ephemeral port (parsed by ci.sh and tests).
+        eprintln!("{name}: listening on tcp {addr}");
+    }
+    match serve(bound) {
+        Ok(()) => Ok(ExitCode::SUCCESS),
+        // Socket-level failures are usage/IO errors (exit 2, like the
+        // documented contract); exit 1 is reserved for worker
+        // leaks/panics at shutdown.
+        Err(e @ ServeError::Io(_)) => Err(e.to_string()),
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
 
 /// Parses serve-mode arguments (`--socket PATH | --tcp HOST:PORT |
 /// --stdio`, `[--max-frame BYTES] [--registry-cap N] [--memo-cap N]
@@ -22,21 +59,11 @@ pub fn run_serve(args: &[String], name: &str, usage: &str) -> Result<ExitCode, S
     let mut config = ServerConfig::default();
     let mut registry_cap = crate::state::DEFAULT_REGISTRY_CAPACITY;
     let mut memo_cap = xmlta_service::cache::DEFAULT_MEMO_CAPACITY;
-    fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
-        it.next()
-            .ok_or(format!("{flag} needs a count"))?
-            .parse()
-            .map_err(|_| format!("invalid {flag} value"))
-    }
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => {
-                socket = Some(PathBuf::from(
-                    it.next().ok_or("--socket needs a path")?.clone(),
-                ))
-            }
-            "--tcp" => tcp = Some(it.next().ok_or("--tcp needs HOST:PORT")?.clone()),
+            "--socket" => socket = Some(value(&mut it, "--socket", "a path")?.into()),
+            "--tcp" => tcp = Some(value(&mut it, "--tcp", "HOST:PORT")?),
             "--stdio" => stdio = true,
             "--max-frame" => config.max_frame = count_value(&mut it, "--max-frame")?,
             "--registry-cap" => registry_cap = count_value(&mut it, "--registry-cap")?,
@@ -51,16 +78,8 @@ pub fn run_serve(args: &[String], name: &str, usage: &str) -> Result<ExitCode, S
             "--retry-after-ms" => {
                 config.retry_after_ms = count_value(&mut it, "--retry-after-ms")? as u64
             }
-            "--store" => {
-                store_dir = Some(PathBuf::from(
-                    it.next().ok_or("--store needs a directory")?.clone(),
-                ))
-            }
-            "--trace" => {
-                trace_path = Some(PathBuf::from(
-                    it.next().ok_or("--trace needs a file path")?.clone(),
-                ))
-            }
+            "--store" => store_dir = Some(value(&mut it, "--store", "a directory")?.into()),
+            "--trace" => trace_path = Some(value(&mut it, "--trace", "a file path")?.into()),
             "--help" | "-h" => {
                 print!("{usage}");
                 return Ok(ExitCode::SUCCESS);
@@ -93,22 +112,7 @@ pub fn run_serve(args: &[String], name: &str, usage: &str) -> Result<ExitCode, S
         ));
     }
     let bound = Bound::bind(socket.as_deref(), tcp.as_deref()).map_err(|e| e.to_string())?;
-    if let Some(addr) = bound.tcp_addr() {
-        // Announce the resolved address so callers binding port 0 can
-        // discover the ephemeral port (parsed by ci.sh and tests).
-        eprintln!("{name}: listening on tcp {addr}");
-    }
-    match bound.serve(shared, config) {
-        Ok(()) => Ok(ExitCode::SUCCESS),
-        // Socket-level failures are usage/IO errors (exit 2, like the
-        // documented contract); exit 1 is reserved for worker
-        // leaks/panics at shutdown.
-        Err(e @ crate::ServeError::Io(_)) => Err(e.to_string()),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            Ok(ExitCode::FAILURE)
-        }
-    }
+    serve_bound(bound, name, |bound| bound.serve(shared, config))
 }
 
 /// Parses router-mode arguments (`--socket PATH | --tcp HOST:PORT`,
@@ -123,37 +127,21 @@ pub fn run_router(args: &[String], name: &str, usage: &str) -> Result<ExitCode, 
     let mut socket: Option<PathBuf> = None;
     let mut tcp: Option<String> = None;
     let mut cfg = RouterConfig::default();
-    fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
-        it.next()
-            .ok_or(format!("{flag} needs a count"))?
-            .parse()
-            .map_err(|_| format!("invalid {flag} value"))
-    }
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => {
-                socket = Some(PathBuf::from(
-                    it.next().ok_or("--socket needs a path")?.clone(),
-                ))
-            }
-            "--tcp" => tcp = Some(it.next().ok_or("--tcp needs HOST:PORT")?.clone()),
+            "--socket" => socket = Some(value(&mut it, "--socket", "a path")?.into()),
+            "--tcp" => tcp = Some(value(&mut it, "--tcp", "HOST:PORT")?),
             "--shards" => cfg.shards = count_value(&mut it, "--shards")?.max(1),
-            "--store" => {
-                cfg.store = Some(PathBuf::from(
-                    it.next().ok_or("--store needs a directory")?.clone(),
-                ))
-            }
+            "--store" => cfg.store = Some(value(&mut it, "--store", "a directory")?.into()),
             "--shard-bin" => {
-                cfg.shard_command = Some(vec![it.next().ok_or("--shard-bin needs a path")?.clone()])
+                cfg.shard_command = Some(vec![value(&mut it, "--shard-bin", "a path")?])
             }
             "--shard-arg" => cfg
                 .shard_args
-                .push(it.next().ok_or("--shard-arg needs a value")?.clone()),
+                .push(value(&mut it, "--shard-arg", "a value")?),
             "--runtime-dir" => {
-                cfg.runtime_dir = Some(PathBuf::from(
-                    it.next().ok_or("--runtime-dir needs a directory")?.clone(),
-                ))
+                cfg.runtime_dir = Some(value(&mut it, "--runtime-dir", "a directory")?.into())
             }
             "--max-frame" => cfg.max_frame = count_value(&mut it, "--max-frame")?,
             "--drain-ms" => {
@@ -192,17 +180,7 @@ pub fn run_router(args: &[String], name: &str, usage: &str) -> Result<ExitCode, 
         // Fail fast on an unusable store before any shard boots on it.
         std::fs::create_dir_all(dir).map_err(|e| format!("--store {}: {e}", dir.display()))?;
     }
-    let bound = RouterBound::bind(socket.as_deref(), tcp.as_deref()).map_err(|e| e.to_string())?;
-    if let Some(addr) = bound.tcp_addr() {
-        eprintln!("{name}: listening on tcp {addr}");
-    }
+    let bound = Bound::bind(socket.as_deref(), tcp.as_deref()).map_err(|e| e.to_string())?;
     let router = Router::spawn(cfg).map_err(|e| format!("spawning the fleet: {e}"))?;
-    match bound.serve(router) {
-        Ok(()) => Ok(ExitCode::SUCCESS),
-        Err(e @ crate::ServeError::Io(_)) => Err(e.to_string()),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            Ok(ExitCode::FAILURE)
-        }
-    }
+    serve_bound(bound, name, |bound| bound.serve_router(router))
 }

@@ -24,8 +24,9 @@
 //! the client asserts exactly that whenever it sees an id twice.
 
 use crate::net::Stream;
+use crate::session::{read_raw, Raw};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -130,29 +131,18 @@ impl Client {
     /// buffering the rest of it.
     pub fn recv(&mut self) -> std::io::Result<Option<String>> {
         let mut buf = Vec::new();
-        let limit = self.max_frame as u64 + 1;
-        let n = std::io::Read::take(&mut self.reader, limit).read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        if !buf.ends_with(b"\n") && n as u64 >= limit {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "response frame exceeds the {} byte cap; refusing to buffer it",
-                    self.max_frame
-                ),
-            ));
-        }
-        while buf.last() == Some(&b'\n') || buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-        String::from_utf8(buf).map(Some).map_err(|_| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response frame is not valid UTF-8",
-            )
-        })
+        let problem = match read_raw(&mut self.reader, self.max_frame, &mut buf)? {
+            Raw::Eof => return Ok(None),
+            Raw::Ready => match String::from_utf8(buf) {
+                Ok(frame) => return Ok(Some(frame)),
+                Err(_) => "response frame is not valid UTF-8".to_string(),
+            },
+            Raw::Oversized => format!(
+                "response frame exceeds the {} byte cap; refusing to buffer it",
+                self.max_frame
+            ),
+        };
+        Err(std::io::Error::new(ErrorKind::InvalidData, problem))
     }
 
     /// Sends one frame and waits for its response. If the send fails

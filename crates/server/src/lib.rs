@@ -16,9 +16,11 @@
 //!   registry;
 //! * [`session`] — per-connection handle tables and request dispatch,
 //!   with per-request panic isolation;
-//! * [`net`] — the socket daemon (Unix and TCP listeners,
-//!   thread-per-connection, read timeouts, overload shedding, graceful
-//!   shutdown, leak-checked drain) and the stdio mode;
+//! * [`net`] — the one connection core the daemon and the router both
+//!   serve through (Unix and TCP listeners, thread-per-connection, read
+//!   timeouts, overload shedding, graceful shutdown, leak-checked drain)
+//!   and the stdio mode;
+//! * [`router`] — the shard-fleet front-end's routing and supervision;
 //! * [`client`] — the reference client and the reconnecting, replaying
 //!   [`ResilientClient`] (`xmlta client` is a thin wrapper);
 //! * [`fault`] — a seeded, deterministic fault-injection proxy for chaos
@@ -39,7 +41,7 @@ pub mod session;
 pub mod state;
 
 pub use client::{Client, ResilientClient, RetryPolicy, ServerAddr};
-pub use net::{serve_stdio, serve_tcp, serve_unix, Bound, ServeError, ServerConfig};
-pub use router::{Breaker, BreakerState, Ring, Router, RouterBound, RouterConfig};
+pub use net::{serve_stdio, serve_unix, Bound, ServeError, ServerConfig};
+pub use router::{Breaker, BreakerState, Ring, Router, RouterConfig};
 pub use session::{serve_stream, Control, Session, SessionEnd};
 pub use state::{Prepared, ServerCounters, Shared};

@@ -1,16 +1,19 @@
-//! Transports: the socket daemon loop (Unix *and* TCP listeners over one
-//! shared state) and the stdio single-session mode.
+//! Transports: the one connection core both front-ends serve through
+//! (Unix *and* TCP listeners), and the stdio single-session mode.
 //!
-//! The daemon is thread-per-connection over one shared
-//! [`crate::state::Shared`]. A server may listen on a Unix socket, a TCP
-//! address, or both at once ([`Bound`]); every listener feeds the same
-//! session machinery, so the frame grammar, goldens, and per-connection
-//! determinism are transport-independent. A `shutdown` request (from any
-//! connection, on any transport) stops every accept loop, and the server
-//! then *drains*: it waits up to [`ServerConfig::drain`] for every
-//! connection worker to finish. Workers still running (or panicked) after
-//! the drain window are reported as an error so the process exits
-//! nonzero — a leaked worker is a bug, not a shrug.
+//! A [`Bound`] serves a `Front`: the daemon's [`crate::state::Shared`]
+//! state ([`Bound::serve`]), or the router's shard fleet
+//! ([`Bound::serve_router`]). The core is thread-per-connection; each
+//! accepted stream gets a frame handler from its front — a
+//! [`Session`], or the router's relay — driven by the one sequential
+//! frame loop in [`crate::session::serve_stream`], so the frame grammar,
+//! goldens, and per-connection determinism are transport- and
+//! front-independent. A `shutdown` request (from any connection, on any
+//! transport) stops every accept loop, and the server then *drains*: it
+//! waits up to [`ServerConfig::drain`] for every connection worker to
+//! finish. Workers still running (or panicked) after the drain window are
+//! reported as an error so the process exits nonzero — a leaked worker is
+//! a bug, not a shrug.
 //!
 //! # Robustness layer
 //!
@@ -22,15 +25,18 @@
 //! * **Connection cap** ([`ServerConfig::max_conns`]): accepts beyond the
 //!   cap are shed immediately with a one-frame `server-overloaded` reply
 //!   carrying a `retry_after_ms` hint; live sessions are never affected.
-//! * Both are tallied in [`crate::state::ServerCounters`] and surfaced by
-//!   the `stats` op.
+//! * **Transient accept errors** are retried; only a listener failing
+//!   100 times in a row takes the server down.
+//! * All of these are tallied in [`crate::state::ServerCounters`] (the
+//!   daemon's `stats` op surfaces them).
 
-use crate::session::{serve_stream, Session, SessionEnd};
+use crate::client::ServerAddr;
+use crate::session::{serve_stream, Handler, Session, SessionEnd};
 use crate::state::{ServerCounters, Shared};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -201,70 +207,93 @@ impl Listener {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
         }
     }
-}
 
-/// Where a shutdown nudge connects to wake a blocked accept loop.
-enum WakeTarget {
-    Unix(PathBuf),
-    Tcp(SocketAddr),
-}
-
-impl WakeTarget {
-    fn wake(&self) {
-        match self {
-            WakeTarget::Unix(path) => {
-                let _ = UnixStream::connect(path);
-            }
-            WakeTarget::Tcp(addr) => {
+    /// Where a shutdown nudge connects to wake this listener's accept.
+    fn wake_addr(&self) -> std::io::Result<ServerAddr> {
+        Ok(match self {
+            Listener::Unix(l) => ServerAddr::Unix(
+                l.local_addr()?
+                    .as_pathname()
+                    .expect("bound to a socket path")
+                    .to_path_buf(),
+            ),
+            Listener::Tcp(l) => {
                 // An unspecified bind address is not connectable; nudge
                 // through loopback on the same port.
-                let mut addr = *addr;
+                let mut addr = l.local_addr()?;
                 if addr.ip().is_unspecified() {
                     addr.set_ip(match addr {
-                        SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                        SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
                     });
                 }
-                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+                ServerAddr::Tcp(addr.to_string())
             }
-        }
+        })
     }
 }
 
-/// State shared by every accept loop and connection worker of one daemon.
-struct DaemonCtx {
+/// What a [`Bound`] serves: a front opens one frame handler per accepted
+/// connection, and holds the tallies the core counts into.
+pub(crate) trait Front: Send + Sync + 'static {
+    /// The per-connection handler.
+    type Handler: Handler;
+    /// Where the core tallies accepts and sheds.
+    fn counters(&self) -> &ServerCounters;
+    /// The handler for connection number `conn` (1-based, unique per
+    /// [`Bound`]), honouring `config`'s per-connection settings.
+    fn open(front: &Arc<Self>, conn: u64, config: &ServerConfig) -> Self::Handler;
+}
+
+impl Front for Shared {
+    type Handler = Session;
+
+    fn counters(&self) -> &ServerCounters {
+        Shared::counters(self)
+    }
+
+    fn open(shared: &Arc<Shared>, conn: u64, config: &ServerConfig) -> Session {
+        let mut session = Session::new(Arc::clone(shared));
+        session.set_conn(conn);
+        session.set_pipeline_cap(config.pipeline_depth);
+        session.set_read_timeout(config.read_timeout);
+        session
+    }
+}
+
+/// State shared by every accept loop and connection worker of one server.
+struct ServeCtx {
     shutdown: AtomicBool,
     /// Open connections by id, so shutdown can close them out from under
     /// workers blocked in a read — an *idle* connection must not be
-    /// mistaken for a leaked worker. Workers deregister themselves.
+    /// mistaken for a leaked worker. Workers deregister themselves; the
+    /// count is the overload-cap gauge.
     conns: Mutex<FxHashMap<u64, Stream>>,
+    /// The next connection number (1-based; the handler's trace id too).
     next_id: AtomicU64,
-    /// Connections currently being served (the overload-cap gauge).
-    live: AtomicUsize,
     /// Worker panics reaped while still accepting.
     panicked: AtomicUsize,
     /// Join handles of spawned connection workers (reaped as we go).
-    workers: Mutex<Vec<std::thread::JoinHandle<std::io::Result<SessionEnd>>>>,
+    workers: Mutex<Vec<Worker>>,
     /// One nudge target per listener, so a `shutdown` served on any
     /// transport wakes every accept loop.
-    wake: Vec<WakeTarget>,
+    wake: Vec<ServerAddr>,
 }
 
-impl DaemonCtx {
+impl ServeCtx {
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for target in &self.wake {
-            target.wake();
+        for addr in &self.wake {
+            let _ = addr.connect();
         }
     }
 }
 
 /// Bound-but-not-yet-serving listeners: bind first (so callers learn the
 /// ephemeral TCP port before any client can race the connect), then
-/// [`Bound::serve`].
+/// [`Bound::serve`] or [`Bound::serve_router`].
 pub struct Bound {
-    unix: Option<(UnixListener, PathBuf)>,
-    tcp: Option<TcpListener>,
+    listeners: Vec<Listener>,
 }
 
 impl Bound {
@@ -276,45 +305,50 @@ impl Bound {
                 "no listener: give a Unix socket path or a TCP address",
             )));
         }
-        let unix = match unix {
-            Some(path) => Some((UnixListener::bind(path)?, path.to_path_buf())),
-            None => None,
-        };
-        let tcp = match tcp {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
-        Ok(Bound { unix, tcp })
+        let mut listeners = Vec::new();
+        if let Some(path) = unix {
+            listeners.push(Listener::Unix(UnixListener::bind(path)?));
+        }
+        if let Some(addr) = tcp {
+            listeners.push(Listener::Tcp(TcpListener::bind(addr)?));
+        }
+        Ok(Bound { listeners })
     }
 
     /// The actual TCP address (useful after binding port 0).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp.as_ref().and_then(|l| l.local_addr().ok())
+        self.listeners.iter().find_map(|listener| match listener {
+            Listener::Tcp(l) => l.local_addr().ok(),
+            Listener::Unix(_) => None,
+        })
     }
 
-    /// Serves connections on every bound listener until a `shutdown`
-    /// request, then drains workers. The Unix socket file (if any) is
-    /// removed on exit.
+    /// Serves daemon sessions over `shared` on every bound listener until
+    /// a `shutdown` request, then drains workers. The Unix socket file (if
+    /// any) is removed on exit.
     pub fn serve(self, shared: Arc<Shared>, config: ServerConfig) -> Result<(), ServeError> {
         // See serve_stdio: serving always records spans.
         xmlta_obs::enable();
-        let mut listeners: Vec<Listener> = Vec::new();
-        let mut wake: Vec<WakeTarget> = Vec::new();
-        let mut unix_path: Option<PathBuf> = None;
-        if let Some((listener, path)) = self.unix {
-            wake.push(WakeTarget::Unix(path.clone()));
-            unix_path = Some(path);
-            listeners.push(Listener::Unix(listener));
-        }
-        if let Some(listener) = self.tcp {
-            wake.push(WakeTarget::Tcp(listener.local_addr()?));
-            listeners.push(Listener::Tcp(listener));
-        }
-        let ctx = Arc::new(DaemonCtx {
+        self.serve_front(shared, config)
+    }
+
+    /// Serves `front` on every bound listener until a `shutdown` request,
+    /// then closes idle connections and drains workers. The Unix socket
+    /// file (if any) is removed on exit.
+    pub(crate) fn serve_front<F: Front>(
+        self,
+        front: Arc<F>,
+        config: ServerConfig,
+    ) -> Result<(), ServeError> {
+        let listeners = self.listeners;
+        let wake = listeners
+            .iter()
+            .map(Listener::wake_addr)
+            .collect::<Result<_, _>>()?;
+        let ctx = Arc::new(ServeCtx {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(FxHashMap::default()),
-            next_id: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
+            next_id: AtomicU64::new(1),
             panicked: AtomicUsize::new(0),
             workers: Mutex::new(Vec::new()),
             wake,
@@ -322,26 +356,21 @@ impl Bound {
         // One accept loop per listener; the scope joins them all before we
         // drain, so no loop can spawn workers after the drain starts.
         let accept_error: Option<ServeError> = std::thread::scope(|scope| {
+            let (ctx, front, config) = (&ctx, &front, &config);
             let handles: Vec<_> = listeners
                 .iter()
-                .map(|listener| {
-                    let ctx = &ctx;
-                    let shared = &shared;
-                    let config = &config;
-                    scope.spawn(move || accept_loop(listener, ctx, shared, config))
-                })
+                .map(|listener| scope.spawn(move || accept_loop(listener, ctx, front, config)))
                 .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        .err()
-                })
-                .next()
+            handles.into_iter().find_map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    .err()
+            })
         });
-        if let Some(path) = unix_path {
-            let _ = std::fs::remove_file(path);
+        for addr in &ctx.wake {
+            if let ServerAddr::Unix(path) = addr {
+                let _ = std::fs::remove_file(path);
+            }
         }
         // Close every still-open connection so idle workers see EOF and
         // exit; the drain window is then only for workers mid-request.
@@ -357,7 +386,7 @@ impl Bound {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -373,32 +402,21 @@ pub fn serve_unix(
     Bound::bind(Some(path), None)?.serve(shared, config)
 }
 
-/// Binds a TCP address (e.g. `127.0.0.1:7700`) and serves connections
-/// until a `shutdown` request, then drains workers.
-pub fn serve_tcp(addr: &str, shared: Arc<Shared>, config: ServerConfig) -> Result<(), ServeError> {
-    Bound::bind(None, Some(addr))?.serve(shared, config)
-}
-
 /// One listener's accept loop. Sheds over-cap accepts, spawns a worker per
 /// served connection, and reaps finished workers as it goes — a
-/// long-running daemon must not accumulate one JoinHandle per connection
+/// long-running server must not accumulate one JoinHandle per connection
 /// ever served.
-fn accept_loop(
+fn accept_loop<F: Front>(
     listener: &Listener,
-    ctx: &Arc<DaemonCtx>,
-    shared: &Arc<Shared>,
+    ctx: &Arc<ServeCtx>,
+    front: &Arc<F>,
     config: &ServerConfig,
 ) -> Result<(), ServeError> {
     let mut consecutive_errors = 0u32;
     loop {
         if lock(&ctx.workers).len() >= 64 {
-            let taken = std::mem::take(&mut *lock(&ctx.workers));
-            let (done, still): (Vec<_>, Vec<_>) = taken.into_iter().partition(|w| w.is_finished());
-            for worker in done {
-                if worker.join().is_err() {
-                    ctx.panicked.fetch_add(1, Ordering::SeqCst);
-                }
-            }
+            let (still, panicked) = reap(std::mem::take(&mut *lock(&ctx.workers)));
+            ctx.panicked.fetch_add(panicked, Ordering::SeqCst);
             lock(&ctx.workers).extend(still);
         }
         let mut stream = match listener.accept() {
@@ -429,11 +447,11 @@ fn accept_loop(
             drop(stream);
             break;
         }
-        if ctx.live.load(Ordering::SeqCst) >= config.max_conns {
+        if lock(&ctx.conns).len() >= config.max_conns {
             // Shed: one structured frame naming the cap and a retry
             // hint, then close. Never block the accept loop on a slow
             // peer — the frame fits any socket buffer.
-            ServerCounters::bump(&shared.counters().overload_sheds);
+            ServerCounters::bump(&front.counters().overload_sheds);
             let frame = crate::proto::overloaded_frame(config.max_conns, config.retry_after_ms);
             let _ = stream.write_all(frame.as_bytes());
             let _ = stream.write_all(b"\n");
@@ -441,19 +459,19 @@ fn accept_loop(
             stream.shutdown_both();
             continue;
         }
-        ServerCounters::bump(&shared.counters().conns_accepted);
+        // A connection shutdown cannot close (fd exhaustion) is not served.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        ServerCounters::bump(&front.counters().conns_accepted);
         let id = ctx.next_id.fetch_add(1, Ordering::SeqCst);
-        if let Ok(clone) = stream.try_clone() {
-            lock(&ctx.conns).insert(id, clone);
-        }
-        ctx.live.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(shared);
+        lock(&ctx.conns).insert(id, clone);
+        let front = Arc::clone(front);
         let config = config.clone();
         let worker_ctx = Arc::clone(ctx);
         let worker = std::thread::spawn(move || {
-            let result = serve_connection(stream, shared, &config);
+            let result = serve_connection(stream, id, &front, &config);
             lock(&worker_ctx.conns).remove(&id);
-            worker_ctx.live.fetch_sub(1, Ordering::SeqCst);
             if matches!(result, Ok(SessionEnd::Shutdown)) {
                 worker_ctx.request_shutdown();
             }
@@ -464,9 +482,10 @@ fn accept_loop(
     Ok(())
 }
 
-fn serve_connection(
+fn serve_connection<F: Front>(
     stream: Stream,
-    shared: Arc<Shared>,
+    conn: u64,
+    front: &Arc<F>,
     config: &ServerConfig,
 ) -> std::io::Result<SessionEnd> {
     if let Stream::Tcp(s) = &stream {
@@ -479,12 +498,20 @@ fn serve_connection(
     }
     let reader = BufReader::new(stream.try_clone()?);
     let writer = BufWriter::new(stream);
-    let conn = shared.next_conn();
-    let mut session = Session::new(shared);
-    session.set_conn(conn);
-    session.set_pipeline_cap(config.pipeline_depth);
-    session.set_read_timeout(config.read_timeout);
-    serve_stream(&mut session, reader, writer, config.max_frame)
+    let mut handler = F::open(front, conn, config);
+    serve_stream(&mut handler, reader, writer, config.max_frame)
+}
+
+type Worker = std::thread::JoinHandle<std::io::Result<SessionEnd>>;
+
+/// Joins the finished workers: the unfinished ones, and how many of the
+/// joined ones panicked.
+fn reap(workers: Vec<Worker>) -> (Vec<Worker>, usize) {
+    let (done, still): (Vec<_>, Vec<_>) = workers.into_iter().partition(|w| w.is_finished());
+    (
+        still,
+        done.into_iter().filter_map(|w| w.join().err()).count(),
+    )
 }
 
 /// Joins every worker within `window`; leftovers and panics (including
@@ -492,7 +519,7 @@ fn serve_connection(
 /// precedence: a leaked worker is the more urgent bug (its panic — if it
 /// ever finishes with one — was never observed at all).
 pub(crate) fn drain(
-    workers: Vec<std::thread::JoinHandle<std::io::Result<SessionEnd>>>,
+    workers: Vec<Worker>,
     window: Duration,
     already_panicked: usize,
 ) -> Result<(), ServeError> {
@@ -500,12 +527,8 @@ pub(crate) fn drain(
     let mut pending = workers;
     let mut panicked = already_panicked;
     while !pending.is_empty() && Instant::now() < deadline {
-        let (done, still): (Vec<_>, Vec<_>) = pending.into_iter().partition(|w| w.is_finished());
-        for worker in done {
-            if worker.join().is_err() {
-                panicked += 1;
-            }
-        }
+        let (still, newly) = reap(pending);
+        panicked += newly;
         pending = still;
         if !pending.is_empty() {
             std::thread::sleep(Duration::from_millis(10));

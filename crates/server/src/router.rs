@@ -29,20 +29,26 @@
 //! for routing, so every shard session replays the client's exact frame
 //! sequence — responses are byte-identical to a direct daemon's, which
 //! the crash-chaos differential suite (`tests/fleet_chaos.rs`) pins.
+//!
+//! This module holds only routing and supervision: the ring, breakers,
+//! supervisor, shard links, and the relay's route/forward/stats logic.
+//! Listening, accepting, shedding, idle reaping, frame reading and the
+//! drain all come from the daemon's own core in [`crate::net`]
+//! ([`Bound::serve_router`]), so the router answers oversized,
+//! non-UTF-8, and slow frames exactly like a daemon.
 
 use crate::client::{splitmix64, ResilientClient, RetryPolicy, ServerAddr};
-use crate::net::{ServeError, Stream};
+use crate::net::{lock, Bound, Front, ServeError, ServerConfig};
 use crate::proto::{self, Op, Target};
-use crate::state::{handle_for_binary, handle_for_source};
+use crate::session::{Control, Handler};
+use crate::state::{handle_for_binary, handle_for_source, ServerCounters};
 use crate::Client;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xmlta_service::{parse_json, Json};
 
@@ -50,12 +56,6 @@ use xmlta_service::{parse_json, Json};
 /// stays near ideal and a shard's removal scatters its keys evenly over
 /// the survivors.
 pub const VNODES_PER_SHARD: usize = 64;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// FNV-1a over `bytes` — the key hash feeding the ring.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -378,8 +378,8 @@ struct Slot {
 }
 
 /// The supervised fleet: spawned shard processes, their ring, breakers,
-/// and counters. Shared between the accept loop, relay sessions, and
-/// the supervisor thread.
+/// and counters. Shared between the relay sessions and the supervisor
+/// thread.
 pub struct Router {
     cfg: RouterConfig,
     ring: Ring,
@@ -392,9 +392,10 @@ pub struct Router {
     inflight: Vec<AtomicU64>,
     /// Fleet counters (`shard_respawns` / `breaker_opens` / `failovers`).
     pub counters: RouterCounters,
+    /// The client-facing core's tallies (accepts, sheds, read timeouts);
+    /// the `stats` reply sums the shards' instead.
+    serving: ServerCounters,
     shutdown: AtomicBool,
-    wake: Mutex<Vec<ServerAddr>>,
-    next_conn: AtomicU64,
     supervisor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -402,7 +403,7 @@ impl Router {
     /// Spawns the fleet: boots `cfg.shards` shard daemons on sockets
     /// under the runtime dir, waits for each to accept, and starts the
     /// supervisor (respawn + health checks). The returned router serves
-    /// nothing yet — pass it to [`RouterBound::serve`].
+    /// nothing yet — pass it to [`Bound::serve_router`].
     pub fn spawn(cfg: RouterConfig) -> std::io::Result<Arc<Router>> {
         assert!(cfg.shards > 0, "a fleet needs at least one shard");
         let runtime_dir = match &cfg.runtime_dir {
@@ -434,9 +435,8 @@ impl Router {
             draining: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             inflight: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             counters: RouterCounters::default(),
+            serving: ServerCounters::default(),
             shutdown: AtomicBool::new(false),
-            wake: Mutex::new(Vec::new()),
-            next_conn: AtomicU64::new(1),
             supervisor: Mutex::new(None),
             cfg,
         });
@@ -499,15 +499,6 @@ impl Router {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Starts shutdown: the supervisor stops respawning, accept loops
-    /// wake and exit, relay sessions close at their next idle tick.
-    pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for addr in lock(&self.wake).iter() {
-            let _ = addr.connect();
-        }
-    }
-
     /// Gracefully drains shard `shard` while the fleet keeps serving:
     /// marks it unroutable (new requests fail over to ring successors,
     /// whose session links replay the same register prelude — the
@@ -556,7 +547,7 @@ impl Router {
     /// turn. The first drain error (a shard that had to be killed) is
     /// returned after every shard has been dealt with.
     pub fn drain_fleet(&self) -> std::io::Result<()> {
-        self.begin_shutdown();
+        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(sup) = lock(&self.supervisor).take() {
             let _ = sup.join();
         }
@@ -800,9 +791,10 @@ impl Drop for InflightGuard<'_> {
 /// link per shard, plus the session prelude (`hello` + `register`
 /// frames in client order) every link replays so any shard can serve
 /// any of the session's handles.
-struct Relay {
+pub(crate) struct Relay {
     router: Arc<Router>,
     conn_id: u64,
+    read_timeout: Option<Duration>,
     links: Vec<Option<Link>>,
     prelude: Vec<(u64, String)>,
 }
@@ -813,115 +805,58 @@ struct Link {
     synced: usize,
 }
 
-/// What the relay hands back for one request line.
-enum RelayOut {
-    /// Response frames to write (one, or a whole `batch_bin` stream).
-    Frames(Vec<String>),
-    /// A `shutdown` ack: write it, then start the router's shutdown.
-    Shutdown(String),
-}
-
 impl Relay {
-    fn new(router: Arc<Router>, conn_id: u64) -> Relay {
-        let shards = router.shards();
-        Relay {
-            router,
-            conn_id,
-            links: (0..shards).map(|_| None).collect(),
-            prelude: Vec::new(),
+    /// Routes and forwards one request line, byte-preserved: its reply
+    /// frames (one, or a whole `batch_bin` stream) joined by `\n`.
+    fn route(&mut self, line: &str) -> std::io::Result<(String, Control)> {
+        // Unparseable frames forward too: the shard answers with the same
+        // error bytes a direct daemon would.
+        let Ok(request) = proto::parse_request(line, 2) else {
+            return self.forward_raw(0, line).map(|f| (f, Control::Continue));
+        };
+        let op = &request.op;
+        match op {
+            Op::Stats => return Ok((self.stats_reply(&request.id), Control::Continue)),
+            Op::Shutdown => return Ok((proto::ok_frame(&request.id), Control::Shutdown)),
+            _ => {}
         }
+        let key = route_key(op);
+        // A non-numeric id cannot ride the id-correlated replay path;
+        // relay it raw (the reply echoes whatever id the client sent).
+        let Some(id) = request.id.as_u64() else {
+            return self.forward_raw(key, line).map(|f| (f, Control::Continue));
+        };
+        let streamed = matches!(op, Op::BatchBin { stream: true, .. });
+        let frames = self.failover(key, |relay, shard| relay.send_on(shard, id, line, streamed))?;
+        if matches!(
+            op,
+            Op::Hello { .. } | Op::Register { .. } | Op::RegisterBin { .. } | Op::Update { .. }
+        ) {
+            // Future links (and every reconnect) replay these, so handles
+            // survive respawns and follow failovers. Updates are
+            // session-state frames too: replaying the chain re-derives
+            // every successor handle on the replacement shard.
+            self.prelude.push((id, line.to_string()));
+        }
+        Ok((frames.join("\n"), Control::Continue))
     }
 
-    /// Routes and forwards one request line, byte-preserved.
-    fn handle_line(&mut self, line: &str) -> std::io::Result<RelayOut> {
-        match proto::parse_request(line, 2) {
-            Ok(request) => match &request.op {
-                Op::Stats => Ok(RelayOut::Frames(vec![self.stats_reply(&request.id)])),
-                Op::Shutdown => Ok(RelayOut::Shutdown(proto::ok_frame(&request.id))),
-                op => {
-                    let key = route_key(op);
-                    let streamed = matches!(op, Op::BatchBin { stream: true, .. });
-                    match request.id.as_u64() {
-                        Some(id) => {
-                            let frames = self.forward(key, id, line, streamed)?;
-                            if matches!(
-                                op,
-                                Op::Hello { .. }
-                                    | Op::Register { .. }
-                                    | Op::RegisterBin { .. }
-                                    | Op::Update { .. }
-                            ) {
-                                // Future links (and every reconnect)
-                                // replay these, so handles survive
-                                // respawns and follow failovers. Updates
-                                // are session-state frames too: replaying
-                                // the chain re-derives every successor
-                                // handle on the replacement shard.
-                                self.prelude.push((id, line.to_string()));
-                            }
-                            Ok(RelayOut::Frames(frames))
-                        }
-                        // A non-numeric id cannot ride the id-correlated
-                        // replay path; relay it raw (the reply echoes
-                        // whatever id the client sent).
-                        None => self
-                            .forward_raw(key, line)
-                            .map(|f| RelayOut::Frames(vec![f])),
-                    }
-                }
-            },
-            // Unparseable frames forward too: the shard answers with the
-            // same error bytes a direct daemon would.
-            Err(_) => self.forward_raw(0, line).map(|f| RelayOut::Frames(vec![f])),
-        }
-    }
-
-    /// Forwards one id-bearing request: the home shard first, then —
-    /// on breaker-open or link failure — each ring successor in order,
-    /// with one last breaker-blind try of the home shard so a fleet
-    /// mid-respawn still gets the request rather than the client an
-    /// error.
-    fn forward(
+    /// Plays a request on its home shard first, then — on breaker-open
+    /// or link failure — on each ring successor in order, with one last
+    /// breaker-blind try of the home shard so a fleet mid-respawn still
+    /// gets the request rather than the client an error.
+    fn failover<T>(
         &mut self,
         key: u64,
-        id: u64,
-        frame: &str,
-        streamed: bool,
-    ) -> std::io::Result<Vec<String>> {
+        mut send: impl FnMut(&mut Relay, usize) -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
         let order = self.router.ring().order(key);
         let home = order[0];
         for &shard in &order {
             if !self.router.admit(shard) {
                 continue;
             }
-            match self.send_on(shard, id, frame, streamed) {
-                Ok(frames) => {
-                    self.router.note_ok(shard);
-                    if shard != home {
-                        self.router.counters.bump_failovers();
-                    }
-                    return Ok(frames);
-                }
-                Err(_) => self.router.note_failure(shard),
-            }
-        }
-        let frames = self.send_on(home, id, frame, streamed)?;
-        self.router.note_ok(home);
-        Ok(frames)
-    }
-
-    /// Forwards a frame that cannot be id-correlated.
-    fn forward_raw(&mut self, key: u64, line: &str) -> std::io::Result<String> {
-        let order = self.router.ring().order(key);
-        let home = order[0];
-        for &shard in &order {
-            if !self.router.admit(shard) {
-                continue;
-            }
-            match self.sync_link(shard).and_then(|()| {
-                let link = self.links[shard].as_mut().expect("link just synced");
-                link.client.run_raw(line)
-            }) {
+            match send(self, shard) {
                 Ok(reply) => {
                     self.router.note_ok(shard);
                     if shard != home {
@@ -932,11 +867,18 @@ impl Relay {
                 Err(_) => self.router.note_failure(shard),
             }
         }
-        self.sync_link(home)?;
-        let link = self.links[home].as_mut().expect("link just synced");
-        let reply = link.client.run_raw(line)?;
+        let reply = send(self, home)?;
         self.router.note_ok(home);
         Ok(reply)
+    }
+
+    /// Forwards a frame that cannot be id-correlated.
+    fn forward_raw(&mut self, key: u64, line: &str) -> std::io::Result<String> {
+        self.failover(key, |relay, shard| {
+            relay.sync_link(shard)?;
+            let link = relay.links[shard].as_mut().expect("link just synced");
+            link.client.run_raw(line)
+        })
     }
 
     /// Ensures shard `shard` has a link carrying the full session
@@ -1038,261 +980,70 @@ impl Relay {
     }
 }
 
-/// Bound-but-not-yet-serving router listeners (mirrors [`crate::Bound`]:
-/// bind first, learn the ephemeral TCP port, then serve).
-pub struct RouterBound {
-    unix: Option<(UnixListener, PathBuf)>,
-    tcp: Option<TcpListener>,
+impl Handler for Relay {
+    fn answer(&mut self, line: &str) -> (String, Control) {
+        self.route(line).unwrap_or_else(|_| {
+            // The whole fleet stayed unreachable past every retry and
+            // failover: answer structurally rather than dropping the
+            // client.
+            let id = parse_json(line)
+                .ok()
+                .and_then(|j| j.get("id").cloned())
+                .unwrap_or(Json::Null);
+            let reject = proto::Reject {
+                id,
+                code: proto::code::SHARD_UNAVAILABLE,
+                message: "no shard reachable for this request".to_string(),
+            };
+            (proto::error_frame(&reject), Control::Continue)
+        })
+    }
+
+    fn counters(&self) -> &ServerCounters {
+        &self.router.serving
+    }
+
+    fn read_timeout(&self) -> Option<Duration> {
+        self.read_timeout
+    }
 }
 
-impl RouterBound {
-    /// Binds a Unix socket path and/or a TCP address (at least one).
-    pub fn bind(unix: Option<&Path>, tcp: Option<&str>) -> std::io::Result<RouterBound> {
-        if unix.is_none() && tcp.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "no listener: give a Unix socket path or a TCP address",
-            ));
-        }
-        let unix = match unix {
-            Some(path) => Some((UnixListener::bind(path)?, path.to_path_buf())),
-            None => None,
-        };
-        let tcp = match tcp {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
-        Ok(RouterBound { unix, tcp })
+impl Front for Router {
+    type Handler = Relay;
+
+    fn counters(&self) -> &ServerCounters {
+        &self.serving
     }
 
-    /// The actual TCP address (useful after binding port 0).
-    pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp.as_ref().and_then(|l| l.local_addr().ok())
+    fn open(router: &Arc<Router>, conn: u64, config: &ServerConfig) -> Relay {
+        Relay {
+            router: Arc::clone(router),
+            conn_id: conn,
+            read_timeout: config.read_timeout,
+            links: (0..router.shards()).map(|_| None).collect(),
+            prelude: Vec::new(),
+        }
     }
+}
 
-    /// Serves client sessions against the fleet until a `shutdown`
-    /// request (or [`Router::begin_shutdown`]), then waits out live
-    /// sessions and drains the fleet. Exit discipline mirrors the
-    /// daemon's: leaked sessions and panicked workers are errors, and a
-    /// shard that ignored its drain reports as an I/O error.
-    pub fn serve(self, router: Arc<Router>) -> Result<(), ServeError> {
-        let mut listeners: Vec<RouterListener> = Vec::new();
-        let mut unix_path: Option<PathBuf> = None;
-        {
-            let mut wake = lock(&router.wake);
-            if let Some((listener, path)) = self.unix {
-                wake.push(ServerAddr::Unix(path.clone()));
-                unix_path = Some(path);
-                listeners.push(RouterListener::Unix(listener));
-            }
-            if let Some(listener) = self.tcp {
-                wake.push(ServerAddr::Tcp(listener.local_addr()?.to_string()));
-                listeners.push(RouterListener::Tcp(listener));
-            }
-        }
-        let live = Arc::new(AtomicUsize::new(0));
-        let panicked = Arc::new(AtomicUsize::new(0));
-        let accept_error: Option<ServeError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = listeners
-                .iter()
-                .map(|listener| {
-                    let router = &router;
-                    let live = &live;
-                    let panicked = &panicked;
-                    scope.spawn(move || accept_loop(listener, router, live, panicked))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        .err()
-                })
-                .next()
-        });
-        if let Some(path) = unix_path {
-            let _ = std::fs::remove_file(path);
-        }
-        // Sessions notice the shutdown flag at their next idle tick.
-        let deadline = Instant::now() + router.cfg.drain;
-        while live.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let leaked = live.load(Ordering::SeqCst);
+impl Bound {
+    /// Serves client sessions against the fleet — through the daemon's
+    /// connection core, with its connection cap, idle reaping and frame
+    /// handling at their defaults, and `router`'s frame cap and drain
+    /// window — until a `shutdown` request, then drains the fleet. Exit
+    /// discipline mirrors the daemon's: leaked sessions and panicked
+    /// workers are errors, and a shard that ignored its drain reports as
+    /// an I/O error. Span recording stays off in the router.
+    pub fn serve_router(self, router: Arc<Router>) -> Result<(), ServeError> {
+        let config = ServerConfig {
+            max_frame: router.cfg.max_frame,
+            drain: router.cfg.drain,
+            ..ServerConfig::default()
+        };
+        let served = self.serve_front(Arc::clone(&router), config);
+        // Drain even after a core error: no shard may outlive the router.
         let fleet = router.drain_fleet();
-        if let Some(e) = accept_error {
-            return Err(e);
-        }
-        let panics = panicked.load(Ordering::SeqCst);
-        if panics > 0 {
-            return Err(ServeError::WorkerPanicked(panics));
-        }
-        if leaked > 0 {
-            return Err(ServeError::LeakedWorkers(leaked));
-        }
-        fleet.map_err(ServeError::Io)
-    }
-}
-
-enum RouterListener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl RouterListener {
-    fn accept(&self) -> std::io::Result<Stream> {
-        match self {
-            RouterListener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            RouterListener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }),
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &RouterListener,
-    router: &Arc<Router>,
-    live: &Arc<AtomicUsize>,
-    panicked: &Arc<AtomicUsize>,
-) -> Result<(), ServeError> {
-    loop {
-        let stream = match listener.accept() {
-            Ok(stream) => stream,
-            Err(e) if router.is_shutdown() => {
-                let _ = e;
-                return Ok(());
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
-            Err(e) => return Err(ServeError::Io(e)),
-        };
-        if router.is_shutdown() {
-            return Ok(());
-        }
-        let conn_id = router.next_conn.fetch_add(1, Ordering::SeqCst);
-        let router = Arc::clone(router);
-        let live = Arc::clone(live);
-        let panicked = Arc::clone(panicked);
-        live.fetch_add(1, Ordering::SeqCst);
-        std::thread::spawn(move || {
-            struct EndGuard {
-                live: Arc<AtomicUsize>,
-                panicked: Arc<AtomicUsize>,
-            }
-            impl Drop for EndGuard {
-                fn drop(&mut self) {
-                    if std::thread::panicking() {
-                        self.panicked.fetch_add(1, Ordering::SeqCst);
-                    }
-                    self.live.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _guard = EndGuard { live, panicked };
-            relay_session(router, stream, conn_id);
-        });
-    }
-}
-
-/// Reads one newline-terminated frame (mirrors `Client::recv`,
-/// including the frame cap).
-fn read_frame(reader: &mut BufReader<Stream>, max_frame: usize) -> std::io::Result<Option<String>> {
-    let mut buf = Vec::new();
-    let limit = max_frame as u64 + 1;
-    let n = std::io::Read::take(reader, limit).read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if !buf.ends_with(b"\n") && n as u64 >= limit {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame exceeds the {max_frame} byte cap"),
-        ));
-    }
-    while buf.last() == Some(&b'\n') || buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
-}
-
-/// One client session: read a line, route it, forward it, write the
-/// reply — sequentially, which every protocol version tolerates
-/// (responses stay id-correlated). The read timeout doubles as the
-/// shutdown poll.
-fn relay_session(router: Arc<Router>, stream: Stream, conn_id: u64) {
-    let max_frame = router.cfg.max_frame;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut relay = Relay::new(Arc::clone(&router), conn_id);
-    loop {
-        if router.is_shutdown() {
-            return;
-        }
-        let line = match read_frame(&mut reader, max_frame) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // client EOF
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let out = match relay.handle_line(&line) {
-            Ok(out) => out,
-            Err(_) => {
-                // The whole fleet stayed unreachable past every retry
-                // and failover: answer structurally rather than
-                // dropping the client.
-                let id = parse_json(&line)
-                    .ok()
-                    .and_then(|j| j.get("id").cloned())
-                    .unwrap_or(Json::Null);
-                let reject = proto::Reject {
-                    id,
-                    code: proto::code::SHARD_UNAVAILABLE,
-                    message: "no shard reachable for this request".to_string(),
-                };
-                RelayOut::Frames(vec![proto::error_frame(&reject)])
-            }
-        };
-        let (frames, then_shutdown) = match out {
-            RelayOut::Frames(frames) => (frames, false),
-            RelayOut::Shutdown(ack) => (vec![ack], true),
-        };
-        let mut buf = String::with_capacity(frames.iter().map(|f| f.len() + 1).sum());
-        for frame in &frames {
-            buf.push_str(frame);
-            buf.push('\n');
-        }
-        if writer.write_all(buf.as_bytes()).is_err() {
-            return;
-        }
-        let _ = writer.flush();
-        if then_shutdown {
-            router.begin_shutdown();
-            return;
-        }
+        served.and(fleet.map_err(ServeError::Io))
     }
 }
 

@@ -1,5 +1,6 @@
-//! A per-connection session: the handle table, the request dispatcher, and
-//! the pipelined (protocol v2) connection loop.
+//! A per-connection session (handle table, request dispatcher, pipelined
+//! v2 loop), plus the only frame reader and the sequential (v1) loop,
+//! [`serve_stream`], that drives any [`Handler`]: a session or the relay.
 //!
 //! Handles are **session-scoped**: `typecheck {"handle": …}` resolves only
 //! what *this* connection registered, so a connection's responses are a
@@ -40,7 +41,7 @@
 
 use crate::proto::{self, code, BatchItemReq, Edit, Op, Reject, Request, ResponseBuilder, Target};
 use crate::state::{apply_edit, Prepared, ServerCounters, Shared};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -72,6 +73,41 @@ pub enum SessionEnd {
     /// No frame arrived within the read/idle timeout; the connection was
     /// closed after a `read-timeout` error frame.
     TimedOut,
+}
+
+/// A connection's frame handler, driven by [`serve_stream`]'s sequential
+/// loop: a daemon [`Session`], or the router's relay to its shard fleet.
+pub trait Handler {
+    /// Answers one frame: the reply (one or more `\n`-joined frames,
+    /// without the final newline) and what the loop does next.
+    fn answer(&mut self, line: &str) -> (String, Control);
+    /// Where a read timeout is tallied.
+    fn counters(&self) -> &ServerCounters;
+    /// The read/idle timeout the transport armed on the stream, if any.
+    fn read_timeout(&self) -> Option<Duration>;
+    /// The session to hand the connection to once a `hello` has
+    /// negotiated the pipelined (v2) loop; only a [`Session`] ever does.
+    fn pipelined(&mut self) -> Option<&mut Session> {
+        None
+    }
+}
+
+impl Handler for Session {
+    fn answer(&mut self, line: &str) -> (String, Control) {
+        self.handle_frame(line)
+    }
+
+    fn counters(&self) -> &ServerCounters {
+        self.shared.counters()
+    }
+
+    fn read_timeout(&self) -> Option<Duration> {
+        self.read_timeout
+    }
+
+    fn pipelined(&mut self) -> Option<&mut Session> {
+        (self.version >= 2).then_some(self)
+    }
 }
 
 /// A connection's session state.
@@ -179,8 +215,8 @@ impl Session {
         self.pipeline_cap = cap.max(1);
     }
 
-    /// Sets the connection number trace spans attribute to (transports
-    /// take it from [`Shared::next_conn`]; 0 = stdio/in-process).
+    /// Sets the connection number trace spans attribute to (socket
+    /// transports number connections from 1; 0 = stdio/in-process).
     pub fn set_conn(&mut self, conn: u64) {
         self.conn = conn;
     }
@@ -191,23 +227,6 @@ impl Session {
     /// `read-timeout` frame instead of tearing the worker down.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) {
         self.read_timeout = timeout;
-    }
-
-    /// Whether `e` is the armed read timeout firing (never true when no
-    /// timeout was declared — a genuine `WouldBlock` on an unarmed stream
-    /// stays a hard error).
-    fn is_read_timeout(&self, e: &std::io::Error) -> bool {
-        self.read_timeout.is_some()
-            && matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-    }
-
-    /// The armed timeout in milliseconds (0 when none; only used for the
-    /// `read-timeout` frame text, which requires one to be armed).
-    fn read_timeout_ms(&self) -> u64 {
-        self.read_timeout.map_or(0, |d| d.as_millis() as u64)
     }
 
     /// The connection's negotiated protocol version.
@@ -817,7 +836,7 @@ fn status_reply(id: &Json, status: &ItemStatus) -> String {
 }
 
 /// What [`read_raw`] found on the stream.
-enum Raw {
+pub(crate) enum Raw {
     /// The stream ended.
     Eof,
     /// The line exceeds the frame cap (the buffer holds a prefix).
@@ -826,21 +845,22 @@ enum Raw {
     Ready,
 }
 
-/// Reads one newline-terminated frame into `buf` (cleared first),
-/// enforcing the size cap without unbounded buffering.
-fn read_raw<R: BufRead>(
+/// Reads one newline-terminated frame into `buf`, enforcing the size cap
+/// without unbounded buffering — the only frame reader on either side of
+/// the wire. `buf` is empty between frames; the caller clears it once it
+/// has used a frame. A read that fails (a read timeout firing mid-frame)
+/// leaves the bytes it consumed in `buf`, so retrying the call resumes
+/// the same frame rather than parsing its suffix.
+pub(crate) fn read_raw<R: BufRead>(
     reader: &mut R,
     max_frame: usize,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<Raw> {
-    buf.clear();
-    // Read at most one byte past the cap: a line that long is oversized
-    // whether or not its newline ever arrives.
-    let n = reader
-        .by_ref()
-        .take(max_frame as u64 + 1)
-        .read_until(b'\n', buf)?;
-    if n == 0 {
+    // Read at most one byte past the cap, counting any resumed prefix: a
+    // line that long is oversized whether or not its newline ever arrives.
+    let budget = max_frame.saturating_add(1).saturating_sub(buf.len());
+    reader.by_ref().take(budget as u64).read_until(b'\n', buf)?;
+    if buf.is_empty() {
         return Ok(Raw::Eof);
     }
     if buf.last() == Some(&b'\n') {
@@ -873,69 +893,71 @@ fn bad_utf8_reject() -> Reject {
     }
 }
 
-/// Runs a session over a framed byte stream until EOF, shutdown, or an
-/// oversized frame. In v1 mode it writes one response line per request
-/// line, in request order, flushing after each. When a `hello` negotiates
-/// protocol 2 the loop hands over to the pipelined engine: responses then
-/// arrive in completion order (correlated by id) and flushes coalesce.
-pub fn serve_stream<R: BufRead + Send, W: Write>(
-    session: &mut Session,
+/// The armed timeout in milliseconds when `e` is it firing (never when no
+/// timeout is armed — a genuine `WouldBlock` on an unarmed stream stays a
+/// hard error).
+fn timeout_ms(armed: Option<Duration>, e: &std::io::Error) -> Option<u64> {
+    let armed = armed?;
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+        .then(|| armed.as_millis() as u64)
+}
+
+/// The `read-timeout` frame closing an idle connection, tallied.
+fn timed_out_frame(ms: u64, counters: &ServerCounters) -> String {
+    ServerCounters::bump(&counters.read_timeouts);
+    proto::error_frame(&proto::read_timeout_reject(ms))
+}
+
+/// Runs a connection's handler over a framed byte stream until EOF,
+/// shutdown, or an oversized frame. In v1 mode it writes one response
+/// line per request line, in request order, flushing after each. When a
+/// `hello` negotiates protocol 2 the loop hands the session over to the
+/// pipelined engine: responses then arrive in completion order
+/// (correlated by id) and flushes coalesce.
+pub fn serve_stream<H: Handler, R: BufRead + Send, W: Write>(
+    handler: &mut H,
     mut reader: R,
     mut writer: W,
     max_frame: usize,
 ) -> std::io::Result<SessionEnd> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        let raw = match read_raw(&mut reader, max_frame, &mut buf) {
-            Ok(raw) => raw,
-            Err(e) if session.is_read_timeout(&e) => {
+        buf.clear();
+        // Each read yields one reply line, and the end it brings, if any.
+        let (reply, end) = match read_raw(&mut reader, max_frame, &mut buf) {
+            Ok(Raw::Eof) => return Ok(SessionEnd::Eof),
+            Ok(Raw::Oversized) => (
+                proto::error_frame(&oversized_reject(max_frame)),
+                Some(SessionEnd::Oversized),
+            ),
+            Ok(Raw::Ready) if buf.iter().all(u8::is_ascii_whitespace) => continue,
+            Ok(Raw::Ready) => match std::str::from_utf8(&buf) {
+                Ok(line) => {
+                    let (reply, control) = handler.answer(line);
+                    let end = (control == Control::Shutdown).then_some(SessionEnd::Shutdown);
+                    (reply, end)
+                }
+                Err(_) => (proto::error_frame(&bad_utf8_reject()), None),
+            },
+            Err(e) => {
+                let Some(ms) = timeout_ms(handler.read_timeout(), &e) else {
+                    return Err(e);
+                };
                 // The armed idle window elapsed with no frame: tell the
                 // client why in-band, then close. A v1 connection is never
                 // mid-request here — reads only happen between requests.
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::error_frame(&proto::read_timeout_reject(session.read_timeout_ms()))
-                )?;
-                writer.flush()?;
-                ServerCounters::bump(&session.shared.counters().read_timeouts);
-                return Ok(SessionEnd::TimedOut);
-            }
-            Err(e) => return Err(e),
-        };
-        match raw {
-            Raw::Eof => return Ok(SessionEnd::Eof),
-            Raw::Oversized => {
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::error_frame(&oversized_reject(max_frame))
-                )?;
-                writer.flush()?;
-                return Ok(SessionEnd::Oversized);
-            }
-            Raw::Ready => {}
-        }
-        if buf.iter().all(u8::is_ascii_whitespace) {
-            continue;
-        }
-        let line = match std::str::from_utf8(&buf) {
-            Ok(line) => line,
-            Err(_) => {
-                writeln!(writer, "{}", proto::error_frame(&bad_utf8_reject()))?;
-                writer.flush()?;
-                continue;
+                let frame = timed_out_frame(ms, handler.counters());
+                (frame, Some(SessionEnd::TimedOut))
             }
         };
-        let (reply, control) = session.handle_frame(line);
         let respond_span = xmlta_obs::span("respond");
         writeln!(writer, "{reply}")?;
         writer.flush()?;
         respond_span.finish();
-        if control == Control::Shutdown {
-            return Ok(SessionEnd::Shutdown);
+        if let Some(end) = end {
+            return Ok(end);
         }
-        if session.version >= 2 {
+        if let Some(session) = handler.pipelined() {
             // The hello reply above was the last sequential frame; every
             // frame from here on flows through the pipelined engine.
             return serve_pipelined(session, &mut reader, &mut writer, max_frame);
@@ -1209,26 +1231,28 @@ fn serve_pipelined<R: BufRead + Send, W: Write>(
                         // check — memory stays bounded either way.
                         break SessionEnd::Eof;
                     }
-                    match read_raw(reader, max_frame, &mut buf) {
-                        Err(e) if session.is_read_timeout(&e) => {
+                    buf.clear();
+                    let raw = loop {
+                        match read_raw(reader, max_frame, &mut buf) {
                             // The idle window elapsed — but a pipelined
                             // client legitimately goes quiet while it
                             // waits for in-flight work, so only a truly
                             // idle connection (nothing in flight) times
-                            // out; otherwise re-arm and keep waiting.
-                            if gate.inflight() > 0 {
-                                continue;
-                            }
-                            outbox.push(
-                                &proto::error_frame(&proto::read_timeout_reject(
-                                    session.read_timeout_ms(),
-                                )),
-                                true,
-                            );
-                            ServerCounters::bump(&session.shared.counters().read_timeouts);
-                            break SessionEnd::TimedOut;
+                            // out; otherwise re-arm and keep reading the
+                            // same frame.
+                            Err(e)
+                                if gate.inflight() > 0
+                                    && timeout_ms(session.read_timeout, &e).is_some() => {}
+                            raw => break raw,
                         }
+                    };
+                    match raw {
                         Err(e) => {
+                            if let Some(ms) = timeout_ms(session.read_timeout, &e) {
+                                let frame = timed_out_frame(ms, session.shared.counters());
+                                outbox.push(&frame, true);
+                                break SessionEnd::TimedOut;
+                            }
                             outbox.leave();
                             return Err(e);
                         }
@@ -1306,4 +1330,62 @@ fn serve_pipelined<R: BufRead + Send, W: Write>(
     let end = end?;
     writer.flush()?;
     Ok(end)
+}
+
+#[cfg(test)]
+mod tests {
+    //! [`read_raw`] over a scripted reader whose read timeout fires
+    //! mid-frame — the case the pipelined loop retries with jobs in flight.
+
+    use super::{read_raw, Raw};
+    use std::collections::VecDeque;
+    use std::io::{BufReader, ErrorKind, Read};
+
+    /// Yields each chunk in turn; `None` is a read timeout firing.
+    struct Scripted(VecDeque<Option<&'static [u8]>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(ErrorKind::WouldBlock.into()),
+                Some(Some(chunk)) => {
+                    out[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    /// Reads one frame, retrying past the scripted timeout.
+    fn frame_across_timeout(prefix: &'static [u8], suffix: &'static [u8], max: usize) -> Raw {
+        let script = VecDeque::from([Some(prefix), None, Some(suffix)]);
+        let mut reader = BufReader::new(Scripted(script));
+        let mut buf = Vec::new();
+        let err = read_raw(&mut reader, max, &mut buf).err().expect("timeout");
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+        assert_eq!(buf, prefix, "the consumed prefix is kept");
+        let raw = read_raw(&mut reader, max, &mut buf).expect("resumed read");
+        if matches!(raw, Raw::Ready) {
+            assert_eq!(
+                buf, br#"{"id":1,"op":"ping"}"#,
+                "the frame comes back whole"
+            );
+        }
+        raw
+    }
+
+    #[test]
+    fn a_frame_split_by_a_timeout_comes_back_whole() {
+        let raw = frame_across_timeout(br#"{"id":1,"op":"#, b"\"ping\"}\n", 64);
+        assert!(matches!(raw, Raw::Ready));
+    }
+
+    #[test]
+    fn the_cap_counts_the_prefix_read_before_a_timeout() {
+        // 13 + 7 bytes before the newline: each half fits a 16-byte cap,
+        // the whole frame does not.
+        let raw = frame_across_timeout(br#"{"id":1,"op":"#, b"\"ping\"}\n", 16);
+        assert!(matches!(raw, Raw::Oversized));
+    }
 }

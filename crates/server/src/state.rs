@@ -20,7 +20,6 @@
 
 use crate::proto::Edit;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use typecheck_core::{Instance, Schema};
@@ -180,9 +179,6 @@ pub struct Shared {
     counters: ServerCounters,
     /// When this state was created — the daemon's birth for `uptime_ms`.
     started: Instant,
-    /// Monotonic connection numbers for trace attribution (1-based; 0 is
-    /// the stdio/in-process pseudo-connection).
-    conn_seq: AtomicU64,
 }
 
 impl Shared {
@@ -225,7 +221,6 @@ impl Shared {
             }),
             counters: ServerCounters::default(),
             started: Instant::now(),
-            conn_seq: AtomicU64::new(0),
         })
     }
 
@@ -243,11 +238,6 @@ impl Shared {
     /// `uptime_ms`). Monotonic, so never goes backwards across reads.
     pub fn uptime_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
-    }
-
-    /// Allocates the next connection number for trace attribution.
-    pub fn next_conn(&self) -> u64 {
-        self.conn_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Number of distinct registered instances currently retained.

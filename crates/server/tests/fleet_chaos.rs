@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use support::TempPath;
 use xmlta_server::fault::{self, FleetSchedule};
 use xmlta_server::proto;
-use xmlta_server::router::{route_key, Router, RouterBound, RouterConfig};
+use xmlta_server::router::{route_key, Router, RouterConfig};
 use xmlta_server::state::handle_for_source;
 use xmlta_server::{
     Bound, Client, ResilientClient, RetryPolicy, Ring, ServerAddr, ServerConfig, Shared,
@@ -221,10 +221,10 @@ fn fleet_round(seed: u64) {
     };
     let router = Router::spawn(cfg).expect("fleet boots");
     let front = TempPath::new(&format!("fleet-unix-front-{seed}"));
-    let bound = RouterBound::bind(Some(&front), None).expect("bind router front");
+    let bound = Bound::bind(Some(&front), None).expect("bind router front");
     let serve = std::thread::spawn({
         let router = Arc::clone(&router);
-        move || bound.serve(router)
+        move || bound.serve_router(router)
     });
 
     // Aim the schedule's guaranteed first kill at the shard every batch
@@ -359,4 +359,96 @@ fn fleet_chaos_differential_over_seeded_schedules() {
 #[test]
 fn fleet_smoke() {
     fleet_round(1);
+}
+
+/// Writes `chunks` to the front-end at `sock` (pausing 400 ms between
+/// chunks), half-closes, and returns every byte it answers before closing.
+fn raw_exchange(sock: &std::path::Path, chunks: &[&[u8]]) -> Vec<u8> {
+    use std::io::{Read, Write};
+    let mut stream = std::os::unix::net::UnixStream::connect(sock).expect("connect front");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("arm read timeout");
+    for (i, chunk) in chunks.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(400));
+        }
+        stream.write_all(chunk).expect("write chunk");
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("front answers and closes");
+    reply
+}
+
+/// The router answers frame-level errors byte for byte like a daemon
+/// with the same frame cap: both run one frame reader and one loop.
+#[test]
+fn router_answers_frame_errors_exactly_like_a_daemon() {
+    const MAX_FRAME: usize = 64;
+    let daemon_sock = TempPath::new("fleet-parity-daemon");
+    let daemon = Bound::bind(Some(&daemon_sock), None).expect("bind daemon");
+    let config = ServerConfig {
+        max_frame: MAX_FRAME,
+        drain: Duration::from_secs(5),
+        ..ServerConfig::default()
+    };
+    let daemon = std::thread::spawn(move || daemon.serve(Shared::new(), config));
+
+    let runtime = tmp_dir("fleet-parity-rt");
+    let router = Router::spawn(RouterConfig {
+        shards: 1,
+        shard_command: Some(vec![env!("CARGO_BIN_EXE_xmltad").to_string()]),
+        runtime_dir: Some(runtime.to_path_buf()),
+        max_frame: MAX_FRAME,
+        drain: Duration::from_secs(5),
+        quiet: true,
+        ..RouterConfig::default()
+    })
+    .expect("fleet boots");
+    let router_sock = TempPath::new("fleet-parity-router");
+    let front = Bound::bind(Some(&router_sock), None).expect("bind router front");
+    let front = std::thread::spawn(move || front.serve_router(router));
+
+    let oversized = [vec![b'x'; 2 * MAX_FRAME], b"\n".to_vec()].concat();
+    // (case, chunks written 400 ms apart, what the daemon's reply holds)
+    type Case<'a> = (&'a str, Vec<&'a [u8]>, &'a [&'a str]);
+    let cases: [Case; 3] = [
+        ("oversized frame", vec![&oversized], &["oversized-frame"]),
+        (
+            "non-UTF-8 frame, then a ping",
+            vec![b"\xff\xfe\n{\"id\":2,\"op\":\"ping\"}\n"],
+            &["malformed-frame", "{\"id\":2,\"ok\":true}\n"],
+        ),
+        (
+            "ping split across a pause",
+            vec![b"{\"id\":1,\"op\":", b"\"ping\"}\n"],
+            &["{\"id\":1,\"ok\":true}\n"],
+        ),
+    ];
+    for (name, chunks, needles) in &cases {
+        let want = String::from_utf8(raw_exchange(&daemon_sock, chunks)).expect("UTF-8 reply");
+        let got = String::from_utf8(raw_exchange(&router_sock, chunks)).expect("UTF-8 reply");
+        for needle in *needles {
+            assert!(want.contains(needle), "{name}: daemon answered {want:?}");
+        }
+        assert_eq!(got, want, "{name}: the router answers unlike a daemon");
+    }
+
+    for sock in [&daemon_sock, &router_sock] {
+        let mut admin = Client::connect(sock).expect("admin connect");
+        admin
+            .roundtrip(&proto::req_shutdown(9))
+            .expect("shutdown ack");
+    }
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon drains cleanly");
+    front
+        .join()
+        .expect("router thread")
+        .expect("router drains cleanly");
 }
