@@ -184,6 +184,39 @@ set -e
 [[ "$rc" -eq 1 ]] || { echo "breaking edit: expected exit 1, got $rc"; exit 1; }
 grep -q 'counterexample' "$smoke/update-break.txt" \
     || { echo "breaking edit produced no counterexample"; exit 1; }
+# A chained breaking edit: the second `update` on one connection edits the
+# first reply's handle, so the engine retained from the first update (not a
+# fresh build) decides its verdict. Its counterexample must be what a
+# one-shot `xmlta typecheck` prints for the same edited source. The
+# instance is not RE+, so both paths run the Lemma 14 engine.
+sed 's/^  (q, x) -> x$/  (q, x) -> x x/; s/^  (q, y) -> y$/  (q, y) -> z/' \
+    "$smoke/update.xti" > "$smoke/update-chained.xti"
+set +e
+xmlta typecheck "$smoke/update-chained.xti" > "$smoke/update-chained-cli.txt"
+rc=$?
+set -e
+[[ "$rc" -eq 1 ]] || { echo "chained edit source: expected exit 1, got $rc"; exit 1; }
+cli_input="$(sed -n 's/.*counterexample input: //p' "$smoke/update-chained-cli.txt")"
+cli_image="$(sed -n 's/.*counterexample image: //p' "$smoke/update-chained-cli.txt")"
+coproc RAW { xmlta client --socket "$sock" raw; }
+raw_roundtrip() {
+    echo "$1" >&"${RAW[1]}"
+    IFS= read -r reply <&"${RAW[0]}"
+}
+handle_of() { sed -n 's/.*"handle":"\([^"]*\)".*/\1/p' <<< "$1"; }
+set_rule() {
+    echo "{\"kind\":\"set_rule\",\"state\":\"$1\",\"symbol\":\"$2\",\"rhs\":\"$3\"}"
+}
+raw_roundtrip '{"id":1,"op":"hello","max_v":2}'
+raw_roundtrip "{\"id\":2,\"op\":\"register\",\"source\":\"$(awk '{printf "%s\\n", $0}' "$smoke/update.xti")\"}"
+raw_roundtrip "{\"id\":3,\"op\":\"update\",\"handle\":\"$(handle_of "$reply")\",\"edit\":$(set_rule q x 'x x')}"
+grep -q '"status":"typechecks"' <<< "$reply" \
+    || { echo "chained benign edit did not typecheck: $reply"; exit 1; }
+raw_roundtrip "{\"id\":4,\"op\":\"update\",\"handle\":\"$(handle_of "$reply")\",\"edit\":$(set_rule q y z)}"
+exec {RAW[1]}>&-
+wait "$RAW_PID"
+grep -qF "\"status\":\"counterexample\",\"input\":\"$cli_input\",\"output\":\"$cli_image\"" <<< "$reply" \
+    || { echo "chained update counterexample differs from xmlta typecheck: $reply"; exit 1; }
 # The daemon-wide counters saw both updates and the reuse.
 xmlta client --socket "$sock" stats > "$smoke/update-stats.json"
 grep -Eq '"update_reqs": *[1-9]' "$smoke/update-stats.json" \

@@ -58,8 +58,6 @@ pub enum TopItem {
 struct Check {
     start: u32,
     items: Vec<TopItem>,
-    /// Human-readable description of the output node being checked.
-    what: String,
 }
 
 /// Profile id.
@@ -71,6 +69,8 @@ pub struct Lemma14Engine {
     pub(crate) sigma: usize,
     pub(crate) din: Dtd,
     pub(crate) din_dfas: Vec<Arc<Dfa>>,
+    /// Per symbol: its rule DFA's defined moves (see [`Moves`]).
+    din_moves: Vec<Moves>,
     pub(crate) din_start: usize,
     pub(crate) productive: Vec<bool>,
     pub(crate) out: OutputAutomaton,
@@ -101,10 +101,21 @@ pub struct Lemma14Engine {
     /// the profiles that arrived since the walk was last visited.
     walks: FxHashMap<(usize, Box<[StateId]>), Walk>,
     /// Per symbol `a`: the letters occurring in some word of `L(d_in(a))`
-    /// over productive symbols. Filled by [`Lemma14Engine::compute_reachable`];
-    /// one trimmed-DFA scan per symbol replaces the per-(a, b) witness BFS
-    /// the reachability loop used to run (the dominant cost on deep DTDs).
+    /// over productive symbols. Filled by the first
+    /// [`Lemma14Engine::compute_reachable`]; one trimmed-DFA scan per symbol
+    /// replaces the per-(a, b) witness BFS the reachability loop used to
+    /// run (the dominant cost on deep DTDs). Depends only on `d_in`, so a
+    /// transducer edit keeps it.
     pub(crate) child_letters: Vec<BitSet>,
+    /// `parents_of[c]`: the productive symbols whose rule DFA mentions `c`
+    /// (see [`Lemma14Engine::ensure_parents_of`]). Depends only on `d_in`;
+    /// built on first use and kept across transducer edits.
+    parents_of: Vec<Vec<usize>>,
+    /// Pairs `(q, a)` that [`Lemma14Engine::find_violation`] has verified
+    /// violation-free, at bit `q * sigma + a`. A transducer edit clears the
+    /// bits of its ancestor closure; every other pair's checks and walk are
+    /// untouched by the edit, so its verdict still holds.
+    clean: BitSet,
 }
 
 /// How a reachable pair was reached: from `parent`, via some children word
@@ -125,9 +136,6 @@ pub(crate) struct Violation {
     pub(crate) pair: (StateId, usize),
     /// Children of the violating node: (symbol, profile) per child.
     pub(crate) children: Vec<(usize, ProfileId)>,
-    /// Which check failed (description).
-    #[allow(dead_code)]
-    pub(crate) what: String,
 }
 
 impl Lemma14Engine {
@@ -164,7 +172,8 @@ impl Lemma14Engine {
         // precomputed behaviors are all the engine ever reads from it.
         let out = OutputAutomaton::build(dout, sigma);
         let mut behaviors = BehaviorTable::new(out.total());
-        let productive = productive_from_dfas(&din_dfas);
+        let din_moves: Vec<Moves> = din_dfas.iter().map(|dfa| Moves::of(dfa, sigma)).collect();
+        let productive = productive_from_dfas(&din_dfas, &din_moves);
 
         // Precompute top items and checks per rule.
         let mut tops = FxHashMap::default();
@@ -182,6 +191,7 @@ impl Lemma14Engine {
             din_start: din.start().index(),
             din,
             din_dfas,
+            din_moves,
             productive,
             out,
             behaviors,
@@ -196,6 +206,8 @@ impl Lemma14Engine {
             reachable: FxHashMap::default(),
             walks: FxHashMap::default(),
             child_letters: Vec::new(),
+            parents_of: Vec::new(),
+            clean: BitSet::new(),
         })
     }
 
@@ -228,25 +240,26 @@ impl Lemma14Engine {
         out
     }
 
-    /// `parents_of[c]`: productive symbols whose rule DFA mentions `c` —
-    /// exactly the symbols whose walks can consume a profile of `c`.
-    fn build_parents_of(&self) -> Vec<Vec<usize>> {
+    /// Fills [`Lemma14Engine::parents_of`] unless it is already built:
+    /// `parents_of[c]` lists the productive symbols whose rule DFA mentions
+    /// `c` — exactly the symbols whose walks can consume a profile of `c`.
+    fn ensure_parents_of(&mut self) {
+        if self.parents_of.len() == self.sigma {
+            return;
+        }
         let mut parents_of: Vec<Vec<usize>> = vec![Vec::new(); self.sigma];
         for a in 0..self.sigma {
             if !self.productive[a] {
                 continue;
             }
-            let dfa = &self.din_dfas[a];
             let mut seen = BitSet::new();
-            for q in 0..dfa.num_states() as u32 {
-                for c in 0..self.sigma as u32 {
-                    if dfa.step(q, c).is_some() && seen.insert(c) {
-                        parents_of[c as usize].push(a);
-                    }
+            for &(c, _) in &self.din_moves[a].moves {
+                if seen.insert(c) {
+                    parents_of[c as usize].push(a);
                 }
             }
         }
-        parents_of
+        self.parents_of = parents_of;
     }
 
     /// Runs the profile fixpoint (the bottom-up reachability of the paper's
@@ -275,7 +288,7 @@ impl Lemma14Engine {
     /// escape it, and symbols outside it have no edited rule anywhere in
     /// their derivations.
     pub fn run_fixpoint_seeded(&mut self, seeds: &[usize]) -> Result<(), TypecheckError> {
-        let parents_of = self.build_parents_of();
+        self.ensure_parents_of();
         let mut dirty: Vec<bool> = vec![false; self.sigma];
         for &a in seeds {
             if self.productive[a] {
@@ -316,7 +329,7 @@ impl Lemma14Engine {
                 self.put_walk(a, &needed, walk);
                 if grew {
                     any_grew = true;
-                    for &p in &parents_of[a] {
+                    for &p in &self.parents_of[a] {
                         dirty[p] = true;
                     }
                 }
@@ -366,11 +379,16 @@ impl Lemma14Engine {
             ));
         }
         // Diff the rule maps: every (q, a) present on either side with a
-        // different rhs marks `a` as edited.
+        // different rhs marks `a` as edited. A transducer edited from this
+        // one shares its untouched rules, so pointer equality settles most
+        // pairs without a structural comparison.
         let mut changed_pairs: Vec<(StateId, usize)> = Vec::new();
         let mut edited = BitSet::new();
         for (q, a, rhs) in self.t.rules() {
-            if t_new.rule(q, a) != Some(rhs) {
+            if !t_new
+                .rule(q, a)
+                .is_some_and(|new| std::ptr::eq(new, rhs) || new == rhs)
+            {
                 changed_pairs.push((q, a.index()));
                 edited.insert(a.index() as u32);
             }
@@ -404,22 +422,28 @@ impl Lemma14Engine {
         }
         self.t = t_new.clone();
         // Ancestor closure of the edited symbols under `parents_of`.
-        let parents_of = self.build_parents_of();
+        self.ensure_parents_of();
         let mut in_closure = edited.clone();
         let mut queue: Vec<usize> = edited.iter().map(|c| c as usize).collect();
         let mut closure: Vec<usize> = queue.clone();
         while let Some(c) = queue.pop() {
-            for &p in &parents_of[c] {
+            for &p in &self.parents_of[c] {
                 if in_closure.insert(p as u32) {
                     closure.push(p);
                     queue.push(p);
                 }
             }
         }
-        // Invalidate the closure: realizable profiles, witnesses, and walks.
+        // Invalidate the closure: realizable profiles, witnesses, walks, and
+        // the clean marks of every pair on a closure symbol.
         for &a in &closure {
             self.s_sets[a].clear();
             self.s_member[a] = BitSet::new();
+            for q in 0..self.t.num_states() as StateId {
+                if let Some(b) = self.pair_bit(q, a) {
+                    self.clean.remove(b);
+                }
+            }
         }
         self.witness
             .retain(|&(a, _), _| !in_closure.contains(a as u32));
@@ -439,26 +463,49 @@ impl Lemma14Engine {
         Ok(closure)
     }
 
+    /// The productive input symbols over the engine's alphabet: exactly
+    /// [`Dtd::productive_symbols`] of `d_in` grown to that alphabet, so
+    /// [`Dtd::sample_tree_with`] can reuse it for every sample.
+    pub fn productive(&self) -> &[bool] {
+        &self.productive
+    }
+
     /// Number of retained `(symbol, tracked-state set)` walks — the reuse
     /// the incremental path gets for free on the next fixpoint.
     pub fn retained_walks(&self) -> usize {
         self.walks.len()
     }
 
-    /// Derives the verdict from a completed fixpoint + reachability pass.
+    /// Special case of the verdict: the initial state has no rule for the
+    /// (productive) input root, so every valid input maps to ε, which is
+    /// never a valid output tree.
+    fn root_rule_missing(&self) -> bool {
+        self.productive[self.din_start]
+            && self
+                .t
+                .rule(self.t.initial_state(), Symbol::from_index(self.din_start))
+                .is_none()
+    }
+
+    /// The verdict alone from a completed fixpoint + reachability pass:
+    /// whether the instance typechecks. Builds no counterexample, and
+    /// agrees with [`Lemma14Engine::outcome`] on every engine state.
+    pub fn type_checks(&mut self) -> Result<bool, TypecheckError> {
+        if self.root_rule_missing() {
+            return Ok(false);
+        }
+        Ok(self.find_violation()?.is_none())
+    }
+
+    /// Derives the outcome from a completed fixpoint + reachability pass.
     /// Factored out of [`typecheck_dtds`] so incremental re-checks share the
     /// exact verdict logic (missing-root-rule special case included).
     pub fn outcome(&mut self) -> Result<Outcome, TypecheckError> {
-        // Special case: the initial state has no rule for the input root —
-        // every valid input maps to ε, which is never a valid output tree.
-        let root_pair = (self.t.initial_state(), self.din_start);
-        if self.productive[self.din_start]
-            && self
-                .t
-                .rule(root_pair.0, Symbol::from_index(root_pair.1))
-                .is_none()
-        {
-            let input = self.din.sample().expect("productive start");
+        if self.root_rule_missing() {
+            let input = self
+                .din
+                .sample_tree_with(Symbol::from_index(self.din_start), &self.productive)
+                .expect("productive start");
             let output = self.t.apply(&input);
             return Ok(Outcome::CounterExample(CounterExample { input, output }));
         }
@@ -559,12 +606,14 @@ impl Lemma14Engine {
         // `behaviors` interns compositions — no clones of any of them.
         let Lemma14Engine {
             din_dfas,
+            din_moves,
             behaviors,
             s_sets,
             profiles,
             ..
         } = self;
         let dfa = &din_dfas[a];
+        let moves = &din_moves[a];
         if walk.nodes.is_empty() {
             let ident = behaviors.identity();
             let start_h: Box<[BehaviorId]> = vec![ident; needed.len()].into_boxed_slice();
@@ -575,16 +624,25 @@ impl Lemma14Engine {
         if walk.consumed.len() < sigma {
             walk.consumed.resize(sigma, 0);
         }
+        // No profile arrived since the last extension: every node has seen
+        // every profile already, so the scan below would add nothing.
+        if walk
+            .consumed
+            .iter()
+            .zip(s_sets.iter())
+            .all(|(&seen, pids)| seen == pids.len())
+        {
+            return Ok(());
+        }
         let old_len = walk.nodes.len();
         let mut scratch: Vec<BehaviorId> = Vec::with_capacity(needed.len());
         let mut n = 0usize;
         // Nodes are appended in discovery order, so the index scan is BFS.
         while n < walk.nodes.len() {
             let (d, h) = walk.nodes[n];
-            for (c, pids) in s_sets.iter().enumerate().take(sigma) {
-                let Some(d2) = dfa.step(d, c as u32) else {
-                    continue;
-                };
+            for &(c, d2) in moves.from(d) {
+                let c = c as usize;
+                let pids = &s_sets[c];
                 // Pre-existing nodes already saw the first `consumed[c]`
                 // profiles of `c` in an earlier extension.
                 let skip = if n < old_len { walk.consumed[c] } else { 0 };
@@ -640,28 +698,36 @@ impl Lemma14Engine {
     /// Computes the reachable `(state, symbol)` pairs (the descent of the
     /// paper's construction), with provenance for counterexample contexts.
     pub fn compute_reachable(&mut self) {
-        self.compute_child_letters();
+        if self.child_letters.len() != self.sigma {
+            self.compute_child_letters();
+        }
         self.reachable.clear();
         if !self.productive[self.din_start] {
             return; // empty input language
         }
-        let root = (self.t.initial_state(), self.din_start);
-        self.reachable.insert(root, None);
+        let Lemma14Engine {
+            t,
+            child_letters,
+            reachable,
+            din_start,
+            ..
+        } = self;
+        let root = (t.initial_state(), *din_start);
+        reachable.insert(root, None);
         let mut queue = VecDeque::from([root]);
         while let Some((q, a)) = queue.pop_front() {
-            let Some(rhs) = self.t.rule(q, Symbol::from_index(a)) else {
+            let Some(rhs) = t.rule(q, Symbol::from_index(a)) else {
                 continue;
             };
             let states = rhs.all_state_occurrences();
             if states.is_empty() {
                 continue;
             }
-            for b in self.child_letters[a].clone().iter() {
+            for b in child_letters[a].iter() {
                 let b = b as usize;
                 for &p in &states {
                     let key = (p, b);
-                    if let std::collections::hash_map::Entry::Vacant(e) = self.reachable.entry(key)
-                    {
+                    if let std::collections::hash_map::Entry::Vacant(e) = reachable.entry(key) {
                         e.insert(Some(ReachStep {
                             parent: (q, a),
                             child: b,
@@ -687,21 +753,18 @@ impl Lemma14Engine {
                     return letters;
                 }
                 let dfa = &self.din_dfas[a];
+                let moves = &self.din_moves[a];
+                let productive = |c: u32| self.productive[c as usize];
                 let n = dfa.num_states();
                 // Forward reachability over productive letters.
                 let mut fwd = vec![false; n];
                 let mut stack = vec![dfa.initial_state()];
                 fwd[dfa.initial_state() as usize] = true;
                 while let Some(q) = stack.pop() {
-                    for c in 0..self.sigma as u32 {
-                        if !self.productive[c as usize] {
-                            continue;
-                        }
-                        if let Some(r) = dfa.step(q, c) {
-                            if !fwd[r as usize] {
-                                fwd[r as usize] = true;
-                                stack.push(r);
-                            }
+                    for &(c, r) in moves.from(q) {
+                        if productive(c) && !fwd[r as usize] {
+                            fwd[r as usize] = true;
+                            stack.push(r);
                         }
                     }
                 }
@@ -711,11 +774,8 @@ impl Lemma14Engine {
                     if !fwd[q as usize] {
                         continue;
                     }
-                    for c in 0..self.sigma as u32 {
-                        if !self.productive[c as usize] {
-                            continue;
-                        }
-                        if let Some(r) = dfa.step(q, c) {
+                    for &(c, r) in moves.from(q) {
+                        if productive(c) {
                             rev[r as usize].push(q);
                         }
                     }
@@ -740,14 +800,9 @@ impl Lemma14Engine {
                     if !(fwd[q as usize] && bwd[q as usize]) {
                         continue;
                     }
-                    for c in 0..self.sigma as u32 {
-                        if !self.productive[c as usize] || letters.contains(c) {
-                            continue;
-                        }
-                        if let Some(r) = dfa.step(q, c) {
-                            if fwd[r as usize] && bwd[r as usize] {
-                                letters.insert(c);
-                            }
+                    for &(c, r) in moves.from(q) {
+                        if productive(c) && fwd[r as usize] && bwd[r as usize] {
+                            letters.insert(c);
                         }
                     }
                 }
@@ -774,11 +829,10 @@ impl Lemma14Engine {
                 hit = Some((q, layer));
                 break 'bfs;
             }
-            for c in 0..self.sigma as u32 {
+            for &(c, r) in self.din_moves[a].from(q) {
                 if !self.productive[c as usize] {
                     continue;
                 }
-                let Some(r) = dfa.step(q, c) else { continue };
                 let nl = if c as usize == b { 1 } else { layer };
                 if nl < layer {
                     continue;
@@ -808,79 +862,116 @@ impl Lemma14Engine {
         Some((word, position))
     }
 
+    /// The bit of pair `(q, a)` in [`Lemma14Engine::clean`], or `None` when
+    /// the index does not fit a bit index (such a pair is never marked).
+    fn pair_bit(&self, q: StateId, a: usize) -> Option<u32> {
+        u32::try_from(q as usize * self.sigma + a).ok()
+    }
+
     /// Searches for a violating configuration. Requires the fixpoint and
     /// reachability to have run.
+    ///
+    /// Pairs already verified clean are skipped; every pair found clean
+    /// here is marked so. Skipping cannot change which violation is found:
+    /// a clean pair has none.
     pub(crate) fn find_violation(&mut self) -> Result<Option<Violation>, TypecheckError> {
         if !self.productive[self.din_start] {
             return Ok(None); // L(d_in) = ∅: vacuously typechecks
         }
+        let root = (self.t.initial_state(), self.din_start);
         let pairs: Vec<(StateId, usize)> = self.reachable.keys().copied().collect();
         for (q, a) in pairs {
-            let is_root = (q, a) == (self.t.initial_state(), self.din_start);
-            let mut checks: Vec<Check> = self.checks.get(&(q, a)).cloned().unwrap_or_default();
-            if is_root {
-                // Virtual root check: the output hedge's top string must be
-                // exactly `s_dout`.
-                let items = self.tops.get(&(q, a)).cloned().unwrap_or_default();
-                checks.push(Check {
-                    start: self.out.root_initial(),
-                    items,
-                    what: "output root".to_string(),
-                });
-            }
-            if checks.is_empty() {
+            let bit = self.pair_bit(q, a);
+            if bit.is_some_and(|b| self.clean.contains(b)) {
                 continue;
             }
-            // States whose compositions the checks need.
-            let mut needed: Vec<StateId> = Vec::new();
-            for c in &checks {
-                for item in &c.items {
-                    if let TopItem::St(p) = item {
-                        if !needed.contains(p) {
-                            needed.push(*p);
-                        }
-                    }
-                }
+            if let Some(v) = self.violation_at(q, a, (q, a) == root)? {
+                return Ok(Some(v));
             }
-            needed.sort_unstable();
-            // The fixpoint's walk for `(a, needed)` is reused verbatim when
-            // the tracked sets coincide (and extended from wherever it
-            // stopped when they do not) — reachable pairs sharing a symbol
-            // no longer re-explore the walk per pair.
-            let walk = self.explore(a, &needed)?;
-            let mut found = None;
-            'nodes: for &node in &walk.accepting {
-                let hvec = walk.hvec_of(node);
-                for check in &checks {
-                    let mut x = check.start;
-                    for item in &check.items {
-                        x = match item {
-                            TopItem::Beh(b) => self.behaviors.apply(*b, x),
-                            TopItem::St(p) => {
-                                let pos = needed.iter().position(|y| y == p).expect("tracked");
-                                self.behaviors.apply(hvec[pos], x)
-                            }
-                        };
-                        if x == DEAD {
-                            break;
-                        }
-                    }
-                    if x == DEAD || !self.out.is_final(x) {
-                        found = Some(Violation {
-                            pair: (q, a),
-                            children: walk.path_to(node),
-                            what: check.what.clone(),
-                        });
-                        break 'nodes;
-                    }
-                }
-            }
-            self.put_walk(a, &needed, walk);
-            if found.is_some() {
-                return Ok(found);
+            if let Some(b) = bit {
+                self.clean.insert(b);
             }
         }
         Ok(None)
+    }
+
+    /// The first violating configuration of pair `(q, a)`, if any.
+    fn violation_at(
+        &mut self,
+        q: StateId,
+        a: usize,
+        is_root: bool,
+    ) -> Result<Option<Violation>, TypecheckError> {
+        // States whose compositions the checks need.
+        let mut needed: Vec<StateId> = Vec::new();
+        let mut any_check = false;
+        for (_, items) in self.check_items(q, a, is_root) {
+            any_check = true;
+            for item in items {
+                if let TopItem::St(p) = item {
+                    if !needed.contains(p) {
+                        needed.push(*p);
+                    }
+                }
+            }
+        }
+        if !any_check {
+            return Ok(None);
+        }
+        needed.sort_unstable();
+        // The fixpoint's walk for `(a, needed)` is reused verbatim when
+        // the tracked sets coincide (and extended from wherever it
+        // stopped when they do not) — reachable pairs sharing a symbol
+        // no longer re-explore the walk per pair.
+        let walk = self.explore(a, &needed)?;
+        let mut found = None;
+        'nodes: for &node in &walk.accepting {
+            let hvec = walk.hvec_of(node);
+            for (start, items) in self.check_items(q, a, is_root) {
+                let mut x = start;
+                for item in items {
+                    x = match item {
+                        TopItem::Beh(b) => self.behaviors.apply(*b, x),
+                        TopItem::St(p) => {
+                            let pos = needed.iter().position(|y| y == p).expect("tracked");
+                            self.behaviors.apply(hvec[pos], x)
+                        }
+                    };
+                    if x == DEAD {
+                        break;
+                    }
+                }
+                if x == DEAD || !self.out.is_final(x) {
+                    found = Some(Violation {
+                        pair: (q, a),
+                        children: walk.path_to(node),
+                    });
+                    break 'nodes;
+                }
+            }
+        }
+        self.put_walk(a, &needed, walk);
+        Ok(found)
+    }
+
+    /// The checks of pair `(q, a)` as `(start state, items)`:
+    /// one per output element of the rule, then — for the root pair — the
+    /// virtual root check that the output hedge's top string is exactly
+    /// `s_dout`.
+    fn check_items(
+        &self,
+        q: StateId,
+        a: usize,
+        is_root: bool,
+    ) -> impl Iterator<Item = (u32, &[TopItem])> + '_ {
+        let rule = self.checks.get(&(q, a)).map_or(&[][..], Vec::as_slice);
+        let root = is_root.then(|| {
+            let items = self.tops.get(&(q, a)).map_or(&[][..], Vec::as_slice);
+            (self.out.root_initial(), items)
+        });
+        rule.iter()
+            .map(|c| (c.start, c.items.as_slice()))
+            .chain(root)
     }
 
     /// Expands the witness tree for `(symbol, profile)`.
@@ -935,7 +1026,7 @@ impl Lemma14Engine {
                 } else {
                     let sub = self
                         .din
-                        .sample_tree(c)
+                        .sample_tree_with(c, &self.productive)
                         .expect("productive sibling symbol has a sample");
                     children.push(sub);
                 }
@@ -1073,25 +1164,74 @@ impl Walk {
     }
 }
 
+/// A rule DFA's defined transitions as per-state `(letter, target)` lists in
+/// ascending letter order: scans visit exactly the moves `Dfa::step` would
+/// find, in the same order, without probing every letter of Σ per state.
+struct Moves {
+    /// State `q`'s moves are `moves[start[q]..start[q + 1]]`.
+    start: Vec<u32>,
+    moves: Vec<(u32, u32)>,
+}
+
+impl Moves {
+    /// The moves of `dfa` on letters below `sigma`.
+    fn of(dfa: &Dfa, sigma: usize) -> Moves {
+        let mut start = Vec::with_capacity(dfa.num_states() + 1);
+        let mut moves = Vec::new();
+        for q in 0..dfa.num_states() as u32 {
+            start.push(moves.len() as u32);
+            for c in 0..sigma as u32 {
+                if let Some(r) = dfa.step(q, c) {
+                    moves.push((c, r));
+                }
+            }
+        }
+        start.push(moves.len() as u32);
+        Moves { start, moves }
+    }
+
+    /// The moves out of state `q`.
+    fn from(&self, q: u32) -> &[(u32, u32)] {
+        &self.moves[self.start[q as usize] as usize..self.start[q as usize + 1] as usize]
+    }
+}
+
 /// *Productive* symbols computed from the materialized rule DFAs: `a` is
 /// productive iff some finite tree rooted at `a` locally satisfies the DTD.
 /// Same fixpoint as [`Dtd::productive_symbols`], but over the engine's DFA
-/// vector — symbols without a rule hold an ε-only DFA, which the restricted
-/// acceptance check classifies as productive leaves, and no rule has to be
-/// re-converted from its regex form.
-fn productive_from_dfas(din_dfas: &[Arc<Dfa>]) -> Vec<bool> {
+/// vector and its [`Moves`] — symbols without a rule hold an ε-only DFA,
+/// which the restricted acceptance check classifies as productive leaves,
+/// and no rule has to be re-converted from its regex form.
+fn productive_from_dfas(din_dfas: &[Arc<Dfa>], din_moves: &[Moves]) -> Vec<bool> {
     let sigma = din_dfas.len();
-    let nfas: Vec<xmlta_automata::Nfa> = din_dfas.iter().map(|d| d.to_nfa()).collect();
     let mut productive = vec![false; sigma];
+    let mut seen: Vec<bool> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
     loop {
         let mut changed = false;
-        for (s, nfa) in nfas.iter().enumerate() {
+        for s in 0..sigma {
             if productive[s] {
                 continue;
             }
-            if nfa.accepts_some_restricted(|l| productive[l as usize]) {
-                productive[s] = true;
-                changed = true;
+            // Does the DFA accept some word over productive letters?
+            let dfa = &din_dfas[s];
+            seen.clear();
+            seen.resize(dfa.num_states(), false);
+            stack.clear();
+            stack.push(dfa.initial_state());
+            seen[dfa.initial_state() as usize] = true;
+            while let Some(q) = stack.pop() {
+                if dfa.is_final_state(q) {
+                    productive[s] = true;
+                    changed = true;
+                    break;
+                }
+                for &(c, r) in din_moves[s].from(q) {
+                    if productive[c as usize] && !seen[r as usize] {
+                        seen[r as usize] = true;
+                        stack.push(r);
+                    }
+                }
             }
         }
         if !changed {
@@ -1145,7 +1285,6 @@ fn collect_checks(
             acc.push(Check {
                 start: out.initial_of(*s),
                 items,
-                what: format!("output node labeled #{}", s.0),
             });
             collect_checks(children, out, behaviors, acc);
         }
@@ -1494,6 +1633,121 @@ mod tests {
         assert!(engine.apply_transducer_edit(&t_new_symbol).is_err());
         // The engine is still intact after the rejections.
         assert!(outcome_of(&mut engine).type_checks());
+    }
+
+    /// A splitmix64 step: the randomized tests' seedable source.
+    fn next_rand(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn pick<'a>(rng: &mut u64, from: &[&'a str]) -> &'a str {
+        from[(next_rand(rng) % from.len() as u64) as usize]
+    }
+
+    #[test]
+    fn retained_verdict_equals_fresh_verdict_on_random_edits() {
+        // A recursive input DTD (`c` re-enters `a`), so edits below the
+        // root reach the root through several parent chains.
+        let mut a = Alphabet::new();
+        let din = Dtd::parse(
+            "r -> a* b?\na -> x* c?\nb -> y y*\nc -> a? x\nx -> \ny -> ",
+            &mut a,
+        )
+        .unwrap();
+        let dout = Dtd::parse(
+            "r -> (a | b | x)*\na -> x* y? c?\nb -> y*\nc -> (a | x)*\nx -> \ny -> ",
+            &mut a,
+        )
+        .unwrap();
+        const STATES: &[&str] = &["root", "p", "q"];
+        const SYMBOLS: &[&str] = &["a", "b", "c", "x", "y"];
+        // Rhs shapes: with and without states (so pairs below become
+        // reachable and unreachable), passing and violating outputs.
+        const RHS: &[&str] = &[
+            "x", "y", "x x", "y y", "a(q)", "a(p)", "b(q)", "c(p)", "c(q q)", "p", "q", "p q",
+            "x(q)", "a(x y)", "b(p x)",
+        ];
+        const ROOT_RHS: &[&str] = &["r(p)", "r(p q)", "r(q)", "r", "r(p p)", "x", "p"];
+        let sigma = a.len();
+        type Rules = std::collections::BTreeMap<(String, String), String>;
+        let build = |a: &mut Alphabet, rules: &Rules| {
+            let mut b = TransducerBuilder::new(a).states(STATES);
+            for ((q, s), rhs) in rules {
+                b = b.rule(q, s, rhs);
+            }
+            b.build().unwrap()
+        };
+        let mut verdicts = [0usize; 2];
+        for seed in 0..24u64 {
+            let mut rng = seed;
+            let mut rules = Rules::new();
+            rules.insert(("root".to_string(), "r".to_string()), "r(p)".to_string());
+            rules.insert(("p".to_string(), "a".to_string()), "a(q)".to_string());
+            rules.insert(("q".to_string(), "x".to_string()), "x".to_string());
+            let t0 = build(&mut a, &rules);
+            let mut engine = Lemma14Engine::new(&din, &dout, &t0, sigma).unwrap();
+            let fresh = typecheck_dtds(&din, &dout, &t0, sigma).unwrap();
+            assert_eq!(outcome_of(&mut engine).type_checks(), fresh.type_checks());
+            for step in 0..40 {
+                match next_rand(&mut rng) % 10 {
+                    0..=5 => {
+                        let q = pick(&mut rng, &STATES[1..]);
+                        let s = pick(&mut rng, SYMBOLS);
+                        let rhs = pick(&mut rng, RHS);
+                        rules.insert((q.to_string(), s.to_string()), rhs.to_string());
+                    }
+                    6 | 7 => {
+                        let keys: Vec<_> =
+                            rules.keys().filter(|(q, _)| q != "root").cloned().collect();
+                        if !keys.is_empty() {
+                            let k = &keys[(next_rand(&mut rng) % keys.len() as u64) as usize];
+                            rules.remove(&k.clone());
+                        }
+                    }
+                    8 => {
+                        let rhs = pick(&mut rng, ROOT_RHS);
+                        rules.insert(("root".to_string(), "r".to_string()), rhs.to_string());
+                    }
+                    _ => {
+                        rules.remove(&("root".to_string(), "r".to_string()));
+                    }
+                }
+                let t = build(&mut a, &rules);
+                let seeds = engine.apply_transducer_edit(&t).expect("edit applies");
+                engine.run_fixpoint_seeded(&seeds).expect("seeded fixpoint");
+                engine.compute_reachable();
+                let retained = engine.type_checks().expect("verdict");
+                let fresh = typecheck_dtds(&din, &dout, &t, sigma).expect("fresh check");
+                assert_eq!(
+                    retained,
+                    fresh.type_checks(),
+                    "seed {seed} step {step}: retained verdict differs from fresh for {rules:?}"
+                );
+                verdicts[usize::from(retained)] += 1;
+                // The retained engine's own witness, when it fails, is a
+                // real counterexample.
+                if !retained {
+                    let ce = engine.outcome().expect("outcome");
+                    let ce = ce
+                        .counter_example()
+                        .expect("a failing verdict has a witness");
+                    assert!(din.compile_to_dfas().accepts(&ce.input));
+                    let ok = ce
+                        .output
+                        .as_ref()
+                        .is_some_and(|o| dout.compile_to_dfas().accepts(o));
+                    assert!(!ok, "seed {seed} step {step}: witness output is valid");
+                }
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&n| n >= 100),
+            "both verdicts are exercised: {verdicts:?}"
+        );
     }
 
     #[test]

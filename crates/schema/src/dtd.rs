@@ -147,11 +147,15 @@ impl StringLang {
 /// `d` maps every symbol to a [`StringLang`] constraining its children;
 /// symbols without an explicit rule are constrained to be leaves (children
 /// language `{ε}`), matching the common `EMPTY` declaration.
+///
+/// The rule table is shared by `Arc` and copied on the first
+/// [`Dtd::set_rule`] after a clone, so clones of one DTD cost a reference
+/// count until one of them is edited.
 #[derive(Clone, Debug)]
 pub struct Dtd {
     alphabet_size: usize,
     start: Symbol,
-    rules: FxHashMap<Symbol, StringLang>,
+    rules: Arc<FxHashMap<Symbol, StringLang>>,
 }
 
 impl Dtd {
@@ -160,7 +164,7 @@ impl Dtd {
         Dtd {
             alphabet_size,
             start,
-            rules: FxHashMap::default(),
+            rules: Arc::default(),
         }
     }
 
@@ -238,7 +242,14 @@ impl Dtd {
         for l in lang.letters() {
             self.alphabet_size = self.alphabet_size.max(l as usize + 1);
         }
-        self.rules.insert(sym, lang);
+        Arc::make_mut(&mut self.rules).insert(sym, lang);
+    }
+
+    /// Whether `self` and `other` share one rule table — true for clones
+    /// neither of which has been edited since, which therefore have equal
+    /// rules.
+    pub fn shares_rules_with(&self, other: &Dtd) -> bool {
+        Arc::ptr_eq(&self.rules, &other.rules)
     }
 
     /// The rule for `sym`, if explicitly present.
@@ -338,7 +349,7 @@ impl Dtd {
     /// Converts every rule to a DFA: the resulting DTD is a `DTD(DFA)`.
     pub fn compile_to_dfas(&self) -> Dtd {
         let mut d = Dtd::new(self.alphabet_size, self.start);
-        for (sym, lang) in &self.rules {
+        for (sym, lang) in self.rules.iter() {
             d.set_rule(
                 *sym,
                 StringLang::Dfa(lang.to_shared_dfa(self.alphabet_size)),
@@ -430,11 +441,14 @@ impl Dtd {
     /// A minimal-ish tree rooted at `sym` that locally satisfies the DTD, or
     /// `None` when `sym` is not productive.
     pub fn sample_tree(&self, sym: Symbol) -> Option<Tree> {
-        let productive = self.productive_symbols();
-        self.sample_tree_inner(sym, &productive)
+        self.sample_tree_with(sym, &self.productive_symbols())
     }
 
-    fn sample_tree_inner(&self, sym: Symbol, productive: &[bool]) -> Option<Tree> {
+    /// [`Dtd::sample_tree`] with the productive-symbol vector supplied by
+    /// the caller, so repeated samples over one DTD run the productivity
+    /// fixpoint once. `productive` must equal
+    /// [`Dtd::productive_symbols`]; the result is then the same tree.
+    pub fn sample_tree_with(&self, sym: Symbol, productive: &[bool]) -> Option<Tree> {
         if !productive[sym.index()] {
             return None;
         }
@@ -445,7 +459,7 @@ impl Dtd {
         let word = nfa.shortest_word_restricted(|l| productive[l as usize])?;
         let children = word
             .iter()
-            .map(|&l| self.sample_tree_inner(Symbol(l), productive))
+            .map(|&l| self.sample_tree_with(Symbol(l), productive))
             .collect::<Option<Vec<_>>>()?;
         Some(Tree::node(sym, children))
     }
@@ -462,7 +476,7 @@ impl Dtd {
         // any letter occurring in the rule representation).
         let n = self.alphabet_size;
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (&sym, lang) in &self.rules {
+        for (&sym, lang) in self.rules.iter() {
             adj[sym.index()] = lang.letters();
         }
         // DFS from start looking for a cycle.
@@ -579,6 +593,21 @@ impl std::error::Error for ValidationError {}
 mod tests {
     use super::*;
     use xmlta_tree::parse_tree;
+
+    #[test]
+    fn clones_share_rules_until_one_is_edited() {
+        let mut a = Alphabet::new();
+        let d = Dtd::parse("r -> x*\nx -> ", &mut a).unwrap();
+        let mut e = d.clone();
+        assert!(e.shares_rules_with(&d));
+        let x = a.sym("x");
+        e.set_rule(x, StringLang::Regex(Regex::parse("r", &mut a).unwrap()));
+        assert!(!e.shares_rules_with(&d));
+        // The edit copied the table: the original keeps its rule.
+        let tree = parse_tree("r(x x)", &mut a).unwrap();
+        assert!(d.compile_to_dfas().accepts(&tree));
+        assert!(!e.compile_to_dfas().accepts(&tree));
+    }
 
     /// The book DTD of Example 10.
     fn book_dtd(a: &mut Alphabet) -> Dtd {

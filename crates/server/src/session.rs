@@ -560,7 +560,10 @@ impl Session {
     /// structured edit, registers the successor under its own
     /// content-derived handle (the canonical printed source — exactly what
     /// a from-scratch `register` of that source would yield), and computes
-    /// its verdict incrementally where the retained engine applies.
+    /// its verdict incrementally where the retained engine applies. A DTD
+    /// instance's edit is adopted as is: it equals the parse of its print,
+    /// so the print is only hashed for the handle, never re-parsed
+    /// ([`Shared::register_edited`]).
     ///
     /// Runs synchronously in the reader like `register` — it mutates the
     /// session handle table, so it must see (and be seen by) the request
@@ -597,7 +600,7 @@ impl Session {
             }
         };
         let resolve_span = xmlta_obs::span("resolve");
-        let registered = self.shared.register(&printed);
+        let registered = self.shared.register_edited(printed, edited, &old);
         resolve_span.finish();
         let new = match registered {
             Ok(prepared) => prepared,
@@ -638,10 +641,12 @@ impl Session {
 /// alphabet untouched — only the ancestor closure of the edited symbols is
 /// re-run ([`xmlta_service::incremental`]).
 ///
-/// Byte fidelity: an incrementally updated engine is trusted only for
-/// `TypeChecks` (where the response carries no witness bytes); failing
-/// verdicts re-render through the canonical [`check_instance`] path so
-/// counterexample bytes match a from-scratch check exactly.
+/// Byte fidelity: an incrementally updated engine decides only the
+/// verdict. `TypeChecks` carries no witness bytes; a failing verdict
+/// re-renders through the canonical [`check_instance_keyed`] path, so
+/// counterexample bytes match a from-scratch check exactly. The first
+/// update of a chain builds the engine once and serves the build's own
+/// status, which is byte-identical to the canonical path's.
 ///
 /// Both versions carry their fingerprints and memo keys from registration,
 /// so nothing here hashes an instance; the successor's verdict is filed
@@ -660,11 +665,10 @@ fn update_status(shared: &Shared, old: &Prepared, new: &Prepared) -> ItemStatus 
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
         if let Some(mut engine) = taken {
-            if let Ok((outcome, _reuse)) = engine.update(&new.instance.transducer) {
+            if let Ok((type_checks, _reuse)) = engine.recheck(&new.instance.transducer) {
                 // The updated engine reflects the successor either way;
                 // park it there so the next edit in the chain is
                 // incremental too.
-                let type_checks = outcome.type_checks();
                 *new.engine
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(engine);
@@ -679,21 +683,22 @@ fn update_status(shared: &Shared, old: &Prepared, new: &Prepared) -> ItemStatus 
         }
     }
     // No engine to chain from (first update in a chain, a schema edit, or
-    // an unsupported transducer edit): full check through the canonical
-    // path, then seed an engine on the successor so the *next* update is
-    // incremental.
-    let status = check_instance_keyed(&new.instance, Some(new.key()), Some(cache));
+    // an unsupported transducer edit): seed an engine on the successor so
+    // the *next* update is incremental, and serve the status its build
+    // computed; otherwise run the full check through the canonical path.
     if RetainedEngine::applicable(&new.instance) {
         let mut slot = new
             .engine
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if slot.is_none() {
-            let (engine, _status) = RetainedEngine::build(cache, &new.instance);
+            let (engine, status) = RetainedEngine::build(cache, &new.instance);
             *slot = engine;
+            cache.memo_insert(new.key(), &new.instance, &status);
+            return status;
         }
     }
-    status
+    check_instance_keyed(&new.instance, Some(new.key()), Some(cache))
 }
 
 /// Executes a resolved job, converting panics into `internal` error

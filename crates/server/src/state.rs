@@ -284,6 +284,7 @@ impl Shared {
             handle_for_source(source),
             RegisteredContent::Text(source.to_string()),
             instance,
+            None,
         ))
     }
 
@@ -299,6 +300,44 @@ impl Shared {
             handle_for_binary(bytes),
             RegisteredContent::Binary(bytes.to_vec()),
             instance,
+            None,
+        ))
+    }
+
+    /// Registers an `update`'s successor: `edited`, an edit of `prev`, is
+    /// adopted as the parse of `printed`, its canonical print, under
+    /// [`handle_for_source`]`(printed)` — the artifact a `register` of
+    /// `printed` would yield, without parsing it. [`apply_edit`] keeps
+    /// every edited DTD instance equal to that parse, and the components
+    /// it shares with `prev` keep their fingerprints. Known content
+    /// returns the existing artifact, as [`Shared::register`] does.
+    ///
+    /// The one exception is an instance with an NTA schema: NTA
+    /// transition languages print as regexes by state elimination, which
+    /// keeps their language but not their automata, so only parsing
+    /// `printed` yields what `register` would.
+    pub fn register_edited(
+        &self,
+        printed: String,
+        edited: Instance,
+        prev: &Prepared,
+    ) -> Result<Arc<Prepared>, ParseError> {
+        if let Some(hit) = self.lookup(ContentKind::Text, printed.as_bytes()) {
+            return Ok(hit);
+        }
+        let has_nta = [&edited.input, &edited.output]
+            .iter()
+            .any(|s| matches!(s, Schema::Nta(_)));
+        let instance = if has_nta {
+            parse_instance(&printed)?
+        } else {
+            edited
+        };
+        Ok(self.adopt(
+            handle_for_source(&printed),
+            RegisteredContent::Text(printed),
+            instance,
+            Some(prev),
         ))
     }
 
@@ -319,16 +358,23 @@ impl Shared {
 
     /// Prepares, fingerprints, and retains a freshly parsed/decoded
     /// instance, evicting the least recently used content when over
-    /// capacity.
+    /// capacity. `prev` is the version `instance` was edited from, if any:
+    /// the components they share keep their fingerprints.
     fn adopt(
         &self,
         handle: String,
         content: RegisteredContent,
         instance: Instance,
+        prev: Option<&Prepared>,
     ) -> Arc<Prepared> {
         let fp = fingerprint_content(content.kind(), content.as_bytes());
         let instance = self.prepare(instance);
-        let fingerprints = ComponentFingerprints::of(&instance);
+        let fingerprints = match prev {
+            Some(prev) => {
+                ComponentFingerprints::of_edit(&prev.instance, prev.fingerprints(), &instance)
+            }
+            None => ComponentFingerprints::of(&instance),
+        };
         let mut registry = self
             .registry
             .lock()
@@ -422,71 +468,60 @@ pub fn handle_for_source(source: &str) -> String {
 }
 
 /// Applies a structured [`Edit`] to an instance, producing the successor
-/// version. Pure instance surgery — no registration, no typechecking; the
-/// caller prints the result canonically and registers the printed source,
-/// so the successor's handle is exactly what a from-scratch registration
-/// of that source would get.
+/// version. Pure instance surgery — no registration, no typechecking.
+///
+/// The successor equals what parsing its canonical print yields, so the
+/// caller can adopt it under the printed source's handle without a
+/// re-parse ([`Shared::register_edited`]). The print declares the whole
+/// alphabet up front, so the parse sizes every section by it; the
+/// successor's schemas and transducer are grown to match.
 pub fn apply_edit(instance: &Instance, edit: &Edit) -> Result<Instance, String> {
     let mut alphabet = instance.alphabet.clone();
-    match edit {
-        Edit::SetRule { state, symbol, rhs } => {
-            let transducer = instance
-                .transducer
-                .with_rule(state, symbol, rhs, &mut alphabet)
-                .map_err(|e| e.to_string())?;
-            Ok(Instance {
-                alphabet,
-                input: instance.input.clone(),
-                output: instance.output.clone(),
-                transducer,
-            })
-        }
+    let mut input = instance.input.clone();
+    let mut output = instance.output.clone();
+    let mut transducer = match edit {
+        Edit::SetRule { state, symbol, rhs } => instance
+            .transducer
+            .with_rule(state, symbol, rhs, &mut alphabet)
+            .map_err(|e| e.to_string())?,
         Edit::RemoveRule { state, symbol } => {
             let sym = alphabet
                 .lookup(symbol)
                 .ok_or_else(|| format!("unknown symbol `{symbol}`"))?;
-            let transducer = instance
+            instance
                 .transducer
                 .without_rule(state, sym)
-                .map_err(|e| e.to_string())?;
-            Ok(Instance {
-                alphabet,
-                input: instance.input.clone(),
-                output: instance.output.clone(),
-                transducer,
-            })
+                .map_err(|e| e.to_string())?
         }
         Edit::SetSchemaRule {
-            output,
+            output: on_output,
             symbol,
             rhs,
         } => {
-            let side = if *output {
-                &instance.output
-            } else {
-                &instance.input
-            };
+            let side = if *on_output { &mut output } else { &mut input };
             let Schema::Dtd(dtd) = side else {
                 return Err("schema edits require a DTD schema".into());
             };
             let sym = alphabet.intern(symbol);
             let re = Regex::parse(rhs, &mut alphabet).map_err(|e| format!("bad rule rhs: {e}"))?;
-            let mut dtd = dtd.clone();
             dtd.set_rule(sym, StringLang::Regex(re));
-            dtd.grow_alphabet(alphabet.len());
-            let (input, output) = if *output {
-                (instance.input.clone(), Schema::Dtd(dtd))
-            } else {
-                (Schema::Dtd(dtd), instance.output.clone())
-            };
-            Ok(Instance {
-                alphabet,
-                input,
-                output,
-                transducer: instance.transducer.clone(),
-            })
+            instance.transducer.clone()
+        }
+    };
+    let sigma = alphabet.len();
+    for schema in [&mut input, &mut output] {
+        match schema {
+            Schema::Dtd(d) => d.grow_alphabet(sigma),
+            Schema::Nta(n) => n.grow_alphabet(sigma),
         }
     }
+    transducer.grow_alphabet(sigma);
+    Ok(Instance {
+        alphabet,
+        input,
+        output,
+        transducer,
+    })
 }
 
 /// The handle a binary frame registers under: like [`handle_for_source`]

@@ -22,8 +22,8 @@ use xmlta_server::state::{apply_edit, handle_for_source};
 use xmlta_server::{Prepared, Session, Shared};
 use xmlta_service::json::Json;
 use xmlta_service::{
-    encode_instance, fingerprint_instance, gen, parse_instance, parse_json, print_instance,
-    ArtifactBackend, ComponentFingerprints,
+    encode_instance, fingerprint_instance, gen, instance_eq, parse_instance, parse_json,
+    print_instance, ArtifactBackend, ComponentFingerprints,
 };
 use xmlta_store::Store;
 
@@ -358,4 +358,267 @@ fn registered_instances_carry_honest_memo_keys() {
             mirror = parse_instance(&printed).expect("printed successor parses");
         }
     }
+}
+
+/// The successor an `update` adopts is exactly what a `register` of its
+/// printed source would parse: structurally equal to the re-parse, filed
+/// under the re-parse's memo key and the printed source's handle.
+fn assert_adopted_equals_reparse(shared: &Shared, printed: &str, handle: &str, what: &str) {
+    let adopted = shared
+        .register(printed)
+        .expect("the printed successor is registered");
+    let reparsed = parse_instance(printed).expect("the printed successor parses");
+    assert_eq!(adopted.handle, handle, "{what}: served handle");
+    assert_eq!(adopted.handle, handle_for_source(printed), "{what}: handle");
+    assert!(
+        instance_eq(&adopted.instance, &reparsed),
+        "{what}: adopted successor differs from its re-parse"
+    );
+    assert_eq!(
+        adopted.key(),
+        fingerprint_instance(&reparsed),
+        "{what}: carried key"
+    );
+}
+
+/// Sends `edit` against `handle` and returns the reply, the successor's
+/// printed source, and the edited mirror.
+fn update_step(
+    session: &mut Session,
+    id: u64,
+    handle: &str,
+    mirror: &Instance,
+    edit: &Edit,
+) -> (Json, String, Instance) {
+    let printed = print_instance(&apply_edit(mirror, edit).expect("edit applies"))
+        .expect("edited instance prints");
+    let reply = frame(session, &proto::req_update(id, handle, edit));
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(true)),
+        "{edit:?}: {reply:?}"
+    );
+    let mirror = parse_instance(&printed).expect("printed successor parses");
+    (reply, printed, mirror)
+}
+
+#[test]
+fn adopted_successors_equal_their_reparse() {
+    // Edits that intern symbols the alphabet does not have yet, on every
+    // component: the successor's schemas and transducer must grow with it.
+    let fresh = |step: u64| match step % 3 {
+        0 => Edit::SetRule {
+            state: "q".to_string(),
+            symbol: "x".to_string(),
+            rhs: format!("w{step}"),
+        },
+        1 => Edit::SetSchemaRule {
+            output: false,
+            symbol: format!("v{step}"),
+            rhs: "x*".to_string(),
+        },
+        _ => Edit::SetSchemaRule {
+            output: true,
+            symbol: "a".to_string(),
+            rhs: format!("x* u{step}*"),
+        },
+    };
+    let shared = Shared::new();
+    for seed in [0xA5, 0x5A, 7, 11] {
+        let mut session = Session::new(Arc::clone(&shared));
+        frame(&mut session, r#"{"id": 0, "op": "hello", "max_v": 2}"#);
+        let registered = frame(&mut session, &proto::req_register(1, BASE));
+        let mut handle = registered
+            .get("handle")
+            .and_then(|j| j.as_str())
+            .expect("base registers")
+            .to_string();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut mirror = parse_instance(BASE).expect("base parses");
+        for step in 0..32 {
+            let edit = if step % 8 == 5 {
+                fresh(seed + step)
+            } else {
+                random_edit(&mut rng, &mirror)
+            };
+            let (reply, printed, next) =
+                update_step(&mut session, 100 + step, &handle, &mirror, &edit);
+            handle = reply
+                .get("handle")
+                .and_then(|j| j.as_str())
+                .expect("update replies with a handle")
+                .to_string();
+            let what = format!("seed {seed} step {step} {edit:?}");
+            assert_adopted_equals_reparse(&shared, &printed, &handle, &what);
+            mirror = next;
+        }
+    }
+
+    // NTA schemas print by state elimination, which keeps languages but
+    // not automata: their successors must still equal the re-parse.
+    const NTA_BASE: &str = "\
+input nta {
+  states q0 q1
+  final q0
+  (q0, r) -> q1*
+  (q1, x) -> eps
+}
+output nta {
+  states p0 p1
+  final p0
+  (p0, r) -> p1* p1*
+  (p1, x) -> eps
+}
+transducer {
+  states a
+  initial a
+  (a, r) -> r(a)
+  (a, x) -> x
+}
+";
+    let mut session = Session::new(Arc::clone(&shared));
+    frame(&mut session, r#"{"id": 0, "op": "hello", "max_v": 2}"#);
+    let registered = frame(&mut session, &proto::req_register(1, NTA_BASE));
+    let mut handle = registered
+        .get("handle")
+        .and_then(|j| j.as_str())
+        .expect("the NTA base registers")
+        .to_string();
+    let mut mirror = parse_instance(NTA_BASE).expect("the NTA base parses");
+    for (step, rhs) in ["x x", "x", "x x x"].iter().enumerate() {
+        let edit = Edit::SetRule {
+            state: "a".to_string(),
+            symbol: "x".to_string(),
+            rhs: rhs.to_string(),
+        };
+        let (reply, printed, next) =
+            update_step(&mut session, 200 + step as u64, &handle, &mirror, &edit);
+        handle = reply
+            .get("handle")
+            .and_then(|j| j.as_str())
+            .expect("update replies with a handle")
+            .to_string();
+        assert_adopted_equals_reparse(&shared, &printed, &handle, &format!("NTA step {step}"));
+        mirror = next;
+    }
+}
+
+/// The sectioned instance of the edit-stream benchmark, in small: `r ->
+/// s0 .. s{n-1}`, section `sj` holding `xj*` on both schema sides, and one
+/// state per section whose rule `(qj, xj)` emits `copies[j]` copies of
+/// `xj`.
+fn sectioned_source(copies: &[usize]) -> String {
+    use std::fmt::Write as _;
+    let n = copies.len();
+    let mut src = String::from("alphabet { r");
+    for j in 0..n {
+        let _ = write!(src, " s{j} x{j}");
+    }
+    src.push_str(" }\n");
+    for side in ["input", "output"] {
+        let _ = write!(src, "{side} dtd {{\n  start r\n  r ->");
+        for j in 0..n {
+            let _ = write!(src, " s{j}");
+        }
+        src.push('\n');
+        for j in 0..n {
+            let _ = writeln!(src, "  s{j} -> x{j}*\n  x{j} -> eps");
+        }
+        src.push_str("}\n");
+    }
+    src.push_str("transducer {\n  states root p");
+    for j in 0..n {
+        let _ = write!(src, " q{j}");
+    }
+    src.push_str("\n  initial root\n  (root, r) -> r(p)\n");
+    for (j, &c) in copies.iter().enumerate() {
+        let _ = writeln!(src, "  (p, s{j}) -> s{j}(q{j})");
+        let _ = writeln!(
+            src,
+            "  (q{j}, x{j}) -> {}",
+            vec![format!("x{j}"); c].join(" ")
+        );
+    }
+    src.push_str("}\n");
+    src
+}
+
+/// A 64-section chain where every eighth edit breaks its section (the
+/// section emits its neighbour's symbol) and the next repairs it: every
+/// successor equals its re-parse, and every verdict — failing ones
+/// included — is byte-identical to a scratch server's.
+#[test]
+fn sectioned_chain_with_failing_edits_matches_scratch() {
+    const SECTIONS: usize = 64;
+    let shared = Shared::new();
+    let scratch = Shared::new();
+    let mut incr = Session::new(Arc::clone(&shared));
+    let mut from_scratch = Session::new(Arc::clone(&scratch));
+    frame(&mut incr, r#"{"id": 0, "op": "hello", "max_v": 2}"#);
+    let mut copies = vec![1usize; SECTIONS];
+    let base = sectioned_source(&copies);
+    let registered = frame(&mut incr, &proto::req_register(1, &base));
+    let mut handle = registered
+        .get("handle")
+        .and_then(|j| j.as_str())
+        .expect("base registers")
+        .to_string();
+    let mut mirror = parse_instance(&base).expect("base parses");
+    let mut rng = SmallRng::seed_from_u64(0xED17);
+    let mut broken: Option<usize> = None;
+    let mut failures = 0;
+    for step in 0..48u64 {
+        let (j, fail) = match broken.take() {
+            Some(j) => (j, false),
+            None => {
+                let j = rng.gen_range(0..SECTIONS);
+                let fail = step % 8 == 7;
+                if fail {
+                    broken = Some(j);
+                }
+                (j, fail)
+            }
+        };
+        copies[j] += 1;
+        let mut rhs = vec![format!("x{j}"); copies[j]].join(" ");
+        if fail {
+            rhs.push_str(&format!(" x{}", (j + 1) % SECTIONS));
+        }
+        let edit = Edit::SetRule {
+            state: format!("q{j}"),
+            symbol: format!("x{j}"),
+            rhs,
+        };
+        let id = 100 + step;
+        let (reply, printed, next) = update_step(&mut incr, id, &handle, &mirror, &edit);
+        handle = reply
+            .get("handle")
+            .and_then(|j| j.as_str())
+            .expect("update replies with a handle")
+            .to_string();
+        assert_adopted_equals_reparse(&shared, &printed, &handle, &format!("step {step}"));
+        frame(&mut from_scratch, &proto::req_register(id, &printed));
+        let expected = frame(&mut from_scratch, &proto::req_typecheck_handle(id, &handle));
+        assert_eq!(
+            verdict_fields(&reply),
+            verdict_fields(&expected),
+            "step {step}: chained verdict differs from scratch"
+        );
+        let status = reply.get("status").and_then(|j| j.as_str());
+        assert_eq!(
+            status == Some("typechecks"),
+            !fail,
+            "step {step}: {reply:?}"
+        );
+        failures += usize::from(fail);
+        // The follow-up typecheck of the successor serves the same bytes.
+        let again = frame(&mut incr, &proto::req_typecheck_handle(id, &handle));
+        assert_eq!(
+            verdict_fields(&again),
+            verdict_fields(&expected),
+            "step {step}"
+        );
+        mirror = next;
+    }
+    assert_eq!(failures, 6);
 }

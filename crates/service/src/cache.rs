@@ -631,6 +631,9 @@ fn dtd_eq(a: &Dtd, b: &Dtd) -> bool {
     if a.alphabet_size() != b.alphabet_size() || a.start() != b.start() {
         return false;
     }
+    if a.shares_rules_with(b) {
+        return true;
+    }
     let mut ra: Vec<_> = a.rules().collect();
     let mut rb: Vec<_> = b.rules().collect();
     ra.sort_by_key(|(s, _)| *s);
@@ -875,6 +878,54 @@ impl ComponentFingerprints {
             alphabet: fingerprint_alphabet(&instance.alphabet),
             input: fingerprint_schema(&instance.input),
             output: fingerprint_schema(&instance.output),
+            transducer_header: fingerprint_transducer_header(&instance.transducer),
+            rules,
+        }
+    }
+
+    /// [`ComponentFingerprints::of`] for `instance`, an edit of `prev`
+    /// whose fingerprints are `prev_fps`. A rule `instance` shares with
+    /// `prev` (the same allocation, as an edited [`Transducer`] shares its
+    /// untouched rules) keeps its fingerprint, and so does a DTD that
+    /// shares `prev`'s rule table, start and alphabet size; everything
+    /// else is hashed. Equal to `of(instance)` whenever `prev_fps` equals
+    /// `of(prev)`.
+    pub fn of_edit(
+        prev: &Instance,
+        prev_fps: &ComponentFingerprints,
+        instance: &Instance,
+    ) -> ComponentFingerprints {
+        let schema = |new: &Schema, old: &Schema, old_fp: u64| match (new, old) {
+            (Schema::Dtd(n), Schema::Dtd(o))
+                if n.shares_rules_with(o)
+                    && n.start() == o.start()
+                    && n.alphabet_size() == o.alphabet_size() =>
+            {
+                old_fp
+            }
+            _ => fingerprint_schema(new),
+        };
+        let mut rules: Vec<((u32, xmlta_base::Symbol), u64)> = instance
+            .transducer
+            .rules()
+            .map(|(q, a, rhs)| {
+                let reused = prev
+                    .transducer
+                    .rule(q, a)
+                    .filter(|old| std::ptr::eq(*old, rhs))
+                    .and_then(|_| {
+                        let i = prev_fps.rules.binary_search_by_key(&(q, a), |&(k, _)| k);
+                        i.ok().map(|i| prev_fps.rules[i].1)
+                    });
+                let fp = reused.unwrap_or_else(|| fingerprint_rule(q, a, rhs));
+                ((q, a), fp)
+            })
+            .collect();
+        rules.sort_by_key(|&(k, _)| k);
+        ComponentFingerprints {
+            alphabet: fingerprint_alphabet(&instance.alphabet),
+            input: schema(&instance.input, &prev.input, prev_fps.input),
+            output: schema(&instance.output, &prev.output, prev_fps.output),
             transducer_header: fingerprint_transducer_header(&instance.transducer),
             rules,
         }

@@ -21,9 +21,9 @@
 //! to [`crate::check_instance`]. An *incrementally updated* engine is
 //! guaranteed to agree on the **verdict** (TypeChecks vs not — the
 //! invalidation is sound and complete) but may discover a *different*
-//! counterexample tree than a fresh engine would; callers that pin byte
-//! transcripts therefore trust the incremental result only when it is
-//! `TypeChecks` and re-render failures through the canonical path.
+//! counterexample tree than a fresh engine would. So the incremental entry
+//! point, [`RetainedEngine::recheck`], decides the verdict only; callers
+//! that pin byte transcripts re-render failures through the canonical path.
 
 use crate::batch::{render_status, ItemStatus};
 use crate::cache::SchemaCache;
@@ -61,7 +61,8 @@ impl RetainedEngine {
     /// [`crate::cache::typecheck_cached`] uses for DTD instances, so the
     /// rendered status is byte-identical to the from-scratch path. Returns
     /// `None` for the engine when the instance is not
-    /// [`RetainedEngine::applicable`] or the engine errors.
+    /// [`RetainedEngine::applicable`], the from-scratch dispatch would not
+    /// pick the Lemma 14 engine, or the engine errors.
     pub fn build(cache: &SchemaCache, instance: &Instance) -> (Option<RetainedEngine>, ItemStatus) {
         let _span = xmlta_obs::span("engine_build");
         let (Schema::Dtd(din), Schema::Dtd(dout)) = (&instance.input, &instance.output) else {
@@ -72,6 +73,14 @@ impl RetainedEngine {
         };
         let din = cache.compile_dtd(din);
         let dout = cache.compile_dtd(dout);
+        if din.is_replus_dtd() && dout.is_replus_dtd() {
+            // Two rule-less DTDs: `typecheck_core::typecheck` routes these
+            // to the RE+ engine, whose witness bytes may differ.
+            return (
+                None,
+                render_status(crate::cache::typecheck_cached(cache, instance), instance),
+            );
+        }
         let result = (|| {
             let mut engine =
                 Lemma14Engine::new(&din, &dout, &instance.transducer, instance.alphabet_size())?;
@@ -89,13 +98,16 @@ impl RetainedEngine {
         }
     }
 
-    /// Applies a transducer edit and re-checks incrementally: only the
-    /// ancestor closure of the edited symbols is invalidated and re-run.
+    /// Applies a transducer edit and re-decides the verdict incrementally:
+    /// only the ancestor closure of the edited symbols is invalidated and
+    /// re-run, and only the pairs on that closure are searched again for a
+    /// violation. Returns whether the edited instance typechecks; no
+    /// counterexample is built.
     ///
-    /// On `Ok`, the engine reflects the new transducer and the outcome is
-    /// verdict-equivalent to a from-scratch check. On `Err` the engine may
-    /// be stale — discard it and fall back to a full check.
-    pub fn update(&mut self, t_new: &Transducer) -> Result<(Outcome, UpdateReuse), TypecheckError> {
+    /// On `Ok`, the engine reflects the new transducer and the verdict
+    /// equals a from-scratch check's. On `Err` the engine may be stale —
+    /// discard it and fall back to a full check.
+    pub fn recheck(&mut self, t_new: &Transducer) -> Result<(bool, UpdateReuse), TypecheckError> {
         let span = xmlta_obs::span("invalidate");
         let seeds = self.engine.apply_transducer_edit(t_new)?;
         let reuse = UpdateReuse {
@@ -106,7 +118,19 @@ impl RetainedEngine {
         let _span = xmlta_obs::span("refixpoint");
         self.engine.run_fixpoint_seeded(&seeds)?;
         self.engine.compute_reachable();
-        let outcome = self.engine.outcome()?;
+        Ok((self.engine.type_checks()?, reuse))
+    }
+
+    /// [`RetainedEngine::recheck`] plus, for a failing verdict, the
+    /// updated engine's own counterexample. That witness may differ from
+    /// a fresh engine's (see the module docs).
+    pub fn update(&mut self, t_new: &Transducer) -> Result<(Outcome, UpdateReuse), TypecheckError> {
+        let (type_checks, reuse) = self.recheck(t_new)?;
+        let outcome = if type_checks {
+            Outcome::TypeChecks
+        } else {
+            self.engine.outcome()?
+        };
         Ok((outcome, reuse))
     }
 }
@@ -201,5 +225,44 @@ transducer {
         // the (q, x) rule changed.
         assert_eq!(f1.shared_with(&f2), 4 + 1);
         assert_eq!(f1.combined(), crate::fingerprint_instance(&v1));
+    }
+
+    #[test]
+    fn edit_fingerprints_reuse_shared_components_and_equal_a_fresh_hash() {
+        use crate::cache::ComponentFingerprints;
+        use typecheck_core::Schema;
+        use xmlta_automata::Regex;
+        use xmlta_schema::StringLang;
+        let v1 = with_rule("y");
+        let f1 = ComponentFingerprints::of(&v1);
+        // A rule edit shares every other rule and both schemas with `v1`.
+        let mut alphabet = v1.alphabet.clone();
+        let transducer = v1
+            .transducer
+            .with_rule("q", "x", "y y", &mut alphabet)
+            .expect("rule parses");
+        let v2 = Instance {
+            alphabet,
+            input: v1.input.clone(),
+            output: v1.output.clone(),
+            transducer,
+        };
+        assert_eq!(
+            ComponentFingerprints::of_edit(&v1, &f1, &v2),
+            ComponentFingerprints::of(&v2)
+        );
+        // A schema edit unshares that schema's rule table.
+        let mut v3 = v2.clone();
+        let Schema::Dtd(dout) = &mut v3.output else {
+            panic!("a DTD output schema");
+        };
+        let mut alphabet = v3.alphabet.clone();
+        let y = alphabet.intern("y");
+        let re = Regex::parse("y*", &mut alphabet).expect("regex parses");
+        dout.set_rule(y, StringLang::Regex(re));
+        let f2 = ComponentFingerprints::of(&v2);
+        let f3 = ComponentFingerprints::of_edit(&v2, &f2, &v3);
+        assert_eq!(f3, ComponentFingerprints::of(&v3));
+        assert_ne!(f3.output, f2.output);
     }
 }

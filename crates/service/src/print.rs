@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use typecheck_core::{Instance, Schema};
 use xmlta_automata::to_regex::nfa_to_regex;
 use xmlta_automata::{Dfa, Nfa};
-use xmlta_base::{Alphabet, Symbol};
+use xmlta_base::{Alphabet, FxHashSet, Symbol};
 use xmlta_schema::{Dtd, Nta, StringLang};
 use xmlta_transducer::{RhsNode, Selector, Transducer};
 
@@ -210,13 +210,18 @@ fn print_transducer(out: &mut String, t: &Transducer, a: &Alphabet) -> Result<()
     }
     let mut rules: Vec<(u32, Symbol, &xmlta_transducer::Rhs)> = t.rules().collect();
     rules.sort_by_key(|&(q, s, _)| (q, s));
+    // Per symbol: whether a state shares its name. The rhs grammar resolves
+    // bare names as states first, so such an output element would re-parse
+    // as that state.
+    let states: FxHashSet<&str> = names.iter().map(String::as_str).collect();
+    let shadowed: Vec<bool> = a.symbols().map(|s| states.contains(a.name(s))).collect();
     for (q, sym, rhs) in rules {
         let mut rendered = String::new();
         for (i, node) in rhs.nodes.iter().enumerate() {
             if i > 0 {
                 rendered.push(' ');
             }
-            print_rhs_node(&mut rendered, node, t, a)?;
+            print_rhs_node(&mut rendered, node, t, &shadowed, a)?;
         }
         let _ = writeln!(
             out,
@@ -229,18 +234,19 @@ fn print_transducer(out: &mut String, t: &Transducer, a: &Alphabet) -> Result<()
     Ok(())
 }
 
+/// Prints one rhs node; `shadowed[s]` says whether symbol `s` is named
+/// like a state of `t`.
 fn print_rhs_node(
     out: &mut String,
     node: &RhsNode,
     t: &Transducer,
+    shadowed: &[bool],
     a: &Alphabet,
 ) -> Result<(), PrintError> {
     match node {
         RhsNode::Elem(sym, children) => {
             let name = name_of(a, *sym)?;
-            // The rhs grammar resolves bare names as states first: an output
-            // element shadowed by a state name would re-parse as that state.
-            if t.state_names().iter().any(|s| s == name) {
+            if shadowed[sym.index()] {
                 return Err(PrintError::new(format!(
                     "output element `{name}` is shadowed by a state of the same name"
                 )));
@@ -252,7 +258,7 @@ fn print_rhs_node(
                     if i > 0 {
                         out.push(' ');
                     }
-                    print_rhs_node(out, c, t, a)?;
+                    print_rhs_node(out, c, t, shadowed, a)?;
                 }
                 out.push(')');
             }

@@ -274,3 +274,35 @@ transducer {
     let err = parse_instance(bad_rhs).unwrap_err();
     assert_eq!(err.loc.line, 12, "rhs error pinned to its rule line: {err}");
 }
+
+#[test]
+fn output_elements_shadowed_by_state_names_do_not_print() {
+    use xmlta_base::Alphabet;
+    use xmlta_schema::Dtd;
+    use xmlta_transducer::{Rhs, RhsNode, Transducer};
+    // The rhs grammar resolves bare names as states first, so an element
+    // named like a state would re-parse as that state: printing must
+    // refuse it, at the top level and nested below another element.
+    let mut alphabet = Alphabet::new();
+    let r = alphabet.intern("r");
+    let q = alphabet.intern("q");
+    let din = Dtd::parse("r -> ", &mut alphabet).expect("dtd parses");
+    let dout = Dtd::parse("r -> q?\nq -> ", &mut alphabet).expect("dtd parses");
+    let shadowed = [
+        vec![RhsNode::Elem(q, Vec::new())],
+        vec![RhsNode::Elem(r, vec![RhsNode::Elem(q, Vec::new())])],
+    ];
+    for nodes in shadowed {
+        let rules = vec![((0, r), Rhs { nodes })];
+        let transducer = Transducer::from_parts(vec!["q".to_string()], 0, rules, Vec::new(), 2)
+            .expect("transducer builds");
+        let instance = Instance {
+            alphabet: alphabet.clone(),
+            input: Schema::Dtd(din.clone()),
+            output: Schema::Dtd(dout.clone()),
+            transducer,
+        };
+        let err = print_instance(&instance).expect_err("a shadowed element must not print");
+        assert!(err.message.contains("shadowed by a state"), "{err}");
+    }
+}

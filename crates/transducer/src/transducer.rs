@@ -1,6 +1,7 @@
 //! The tree transducer type, builder, and semantics (Definition 5).
 
 use crate::rhs::{Rhs, RhsNode, StateId};
+use std::sync::Arc;
 use xmlta_automata::Dfa;
 use xmlta_base::{Alphabet, FxHashMap, Symbol};
 use xmlta_tree::{Hedge, Tree, TreePath};
@@ -21,11 +22,16 @@ pub enum Selector {
 /// Build one with [`TransducerBuilder`]; determinism (at most one rule per
 /// `(q, a)` pair) and the initial-state rhs restriction (`T_Σ(Q) \ Q`) are
 /// enforced at construction.
+///
+/// Rules are shared by `Arc`: a clone, or a copy edited with
+/// [`Transducer::with_rule`]/[`Transducer::without_rule`], shares every
+/// rule it does not replace, so an edit costs its one rule, not the whole
+/// rule set.
 #[derive(Clone, Debug)]
 pub struct Transducer {
     state_names: Vec<String>,
     initial: StateId,
-    rules: FxHashMap<(StateId, Symbol), Rhs>,
+    rules: FxHashMap<(StateId, Symbol), Arc<Rhs>>,
     selectors: Vec<Selector>,
     alphabet_size: usize,
 }
@@ -56,12 +62,12 @@ impl Transducer {
 
     /// The rule `rhs(q, a)`, if present.
     pub fn rule(&self, q: StateId, a: Symbol) -> Option<&Rhs> {
-        self.rules.get(&(q, a))
+        self.rules.get(&(q, a)).map(|rhs| &**rhs)
     }
 
     /// Iterates over all rules.
     pub fn rules(&self) -> impl Iterator<Item = (StateId, Symbol, &Rhs)> {
-        self.rules.iter().map(|(&(q, a), rhs)| (q, a, rhs))
+        self.rules.iter().map(|(&(q, a), rhs)| (q, a, &**rhs))
     }
 
     /// The interned selectors.
@@ -77,7 +83,7 @@ impl Transducer {
     /// Whether any rule uses selectors (i.e. the transducer is in `T^P` or
     /// `T^DFA` rather than the plain class).
     pub fn uses_selectors(&self) -> bool {
-        self.rules.values().any(Rhs::has_selectors)
+        self.rules.values().any(|r| r.has_selectors())
     }
 
     /// The alphabet size the transducer is defined over.
@@ -85,9 +91,17 @@ impl Transducer {
         self.alphabet_size
     }
 
+    /// Grows the alphabet to at least `n` symbols (new symbols get no
+    /// rules).
+    pub fn grow_alphabet(&mut self, n: usize) {
+        self.alphabet_size = self.alphabet_size.max(n);
+    }
+
     /// The paper's size measure `|Q| + |Σ| + Σ |rhs(q, a)|`.
     pub fn size(&self) -> usize {
-        self.num_states() + self.alphabet_size + self.rules.values().map(Rhs::size).sum::<usize>()
+        self.num_states()
+            + self.alphabet_size
+            + self.rules.values().map(|r| r.size()).sum::<usize>()
     }
 
     /// The translation `T^q(t)` of Definition 5 (extended with selectors as
@@ -176,7 +190,7 @@ impl Transducer {
     ) -> Result<Transducer, BuildError> {
         let mut map = FxHashMap::default();
         for ((q, a), rhs) in rules {
-            if map.insert((q, a), rhs).is_some() {
+            if map.insert((q, a), Arc::new(rhs)).is_some() {
                 return Err(BuildError::DuplicateRule(
                     state_names
                         .get(q as usize)
@@ -219,7 +233,7 @@ impl Transducer {
         let mut selectors = self.selectors.clone();
         let rhs = parse_rhs(rhs_src, alphabet, &self.state_names, &[], &mut selectors)?;
         let mut rules = self.rules.clone();
-        rules.insert((q, a), rhs);
+        rules.insert((q, a), Arc::new(rhs));
         Ok(Transducer {
             state_names: self.state_names.clone(),
             initial: self.initial,
@@ -410,7 +424,7 @@ impl<'a> TransducerBuilder<'a> {
                 &dfa_selector_names,
                 &mut selectors,
             )?;
-            if t.rules.insert((q, sym), rhs).is_some() {
+            if t.rules.insert((q, sym), Arc::new(rhs)).is_some() {
                 return Err(BuildError::DuplicateRule(state, symbol));
             }
         }

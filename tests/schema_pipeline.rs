@@ -97,3 +97,56 @@ proptest! {
         prop_assert_eq!(by_nta, by_dta);
     }
 }
+
+/// The Lemma 14 engine samples counterexample siblings with its own
+/// productive vector ([`Dtd::sample_tree_with`]); for every symbol of every
+/// DTD workload family that must be the very tree
+/// [`Dtd::sample_tree`] builds from scratch.
+#[test]
+fn engine_productive_samples_match_fresh_samples() {
+    use typecheck_core::lemma14::Lemma14Engine;
+    use typecheck_core::Schema;
+    use xmlta_hardness::workloads;
+    use xmlta_transducer::Transducer;
+
+    let mut families = vec![workloads::example11_workload()];
+    for n in [1usize, 2, 4] {
+        families.push(workloads::filtering_family(n));
+        families.push(workloads::failing_filtering_family(n));
+        families.push(workloads::copying_family(n));
+        families.push(workloads::deletion_family(n));
+        families.push(workloads::nfa_schema_family(n + 1));
+        families.push(workloads::replus_family(n));
+        families.push(workloads::xpath_family(n));
+        families.push(workloads::regex_schema_family(n));
+        families.push(workloads::random_layered_family(n as u64, 3, 3));
+    }
+    let mut sampled = 0;
+    for w in families {
+        let (Schema::Dtd(din), Schema::Dtd(dout)) = (&w.instance.input, &w.instance.output) else {
+            continue;
+        };
+        // Productivity depends on the input DTD alone; a rule-less
+        // transducer keeps selector families usable.
+        let sigma = w.instance.alphabet_size();
+        let t = Transducer::from_parts(vec!["q".to_string()], 0, Vec::new(), Vec::new(), sigma)
+            .expect("transducer builds");
+        let engine = Lemma14Engine::new(din, dout, &t, sigma).expect("engine builds");
+        let productive = engine.productive();
+        // The engine samples from `d_in` grown to its own alphabet.
+        let mut grown = din.clone();
+        grown.grow_alphabet(productive.len());
+        assert_eq!(productive, grown.productive_symbols(), "{}", w.name);
+        for s in 0..productive.len() {
+            let sym = xmlta_base::Symbol::from_index(s);
+            assert_eq!(
+                grown.sample_tree_with(sym, productive),
+                grown.sample_tree(sym),
+                "{}: symbol #{s}",
+                w.name
+            );
+            sampled += 1;
+        }
+    }
+    assert!(sampled > 100, "sampled {sampled} symbols");
+}
