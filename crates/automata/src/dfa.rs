@@ -78,6 +78,24 @@ impl Dfa {
         self.alphabet_size
     }
 
+    /// Grows the alphabet to at least `n` letters (no transitions change;
+    /// the new letters have none).
+    pub fn grow_alphabet(&mut self, n: usize) {
+        if n <= self.alphabet_size {
+            return;
+        }
+        let mut table = vec![None; self.num_states * n];
+        for (q, row) in self
+            .table
+            .chunks_exact(self.alphabet_size.max(1))
+            .enumerate()
+        {
+            table[q * n..q * n + row.len()].copy_from_slice(row);
+        }
+        self.table = table;
+        self.alphabet_size = n;
+    }
+
     /// Adds a fresh state; returns its id.
     pub fn add_state(&mut self) -> u32 {
         let id = self.num_states as u32;

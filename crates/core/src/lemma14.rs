@@ -69,8 +69,6 @@ pub struct Lemma14Engine {
     pub(crate) sigma: usize,
     pub(crate) din: Dtd,
     pub(crate) din_dfas: Vec<Arc<Dfa>>,
-    /// Per symbol: its rule DFA's defined moves (see [`Moves`]).
-    din_moves: Vec<Moves>,
     pub(crate) din_start: usize,
     pub(crate) productive: Vec<bool>,
     pub(crate) out: OutputAutomaton,
@@ -172,8 +170,7 @@ impl Lemma14Engine {
         // precomputed behaviors are all the engine ever reads from it.
         let out = OutputAutomaton::build(dout, sigma);
         let mut behaviors = BehaviorTable::new(out.total());
-        let din_moves: Vec<Moves> = din_dfas.iter().map(|dfa| Moves::of(dfa, sigma)).collect();
-        let productive = productive_from_dfas(&din_dfas, &din_moves);
+        let productive = productive_from_dfas(&din_dfas);
 
         // Precompute top items and checks per rule.
         let mut tops = FxHashMap::default();
@@ -191,7 +188,6 @@ impl Lemma14Engine {
             din_start: din.start().index(),
             din,
             din_dfas,
-            din_moves,
             productive,
             out,
             behaviors,
@@ -252,10 +248,13 @@ impl Lemma14Engine {
             if !self.productive[a] {
                 continue;
             }
+            let dfa = &self.din_dfas[a];
             let mut seen = BitSet::new();
-            for &(c, _) in &self.din_moves[a].moves {
-                if seen.insert(c) {
-                    parents_of[c as usize].push(a);
+            for q in 0..dfa.num_states() as u32 {
+                for c in 0..self.sigma as u32 {
+                    if dfa.step(q, c).is_some() && seen.insert(c) {
+                        parents_of[c as usize].push(a);
+                    }
                 }
             }
         }
@@ -606,14 +605,12 @@ impl Lemma14Engine {
         // `behaviors` interns compositions — no clones of any of them.
         let Lemma14Engine {
             din_dfas,
-            din_moves,
             behaviors,
             s_sets,
             profiles,
             ..
         } = self;
         let dfa = &din_dfas[a];
-        let moves = &din_moves[a];
         if walk.nodes.is_empty() {
             let ident = behaviors.identity();
             let start_h: Box<[BehaviorId]> = vec![ident; needed.len()].into_boxed_slice();
@@ -624,25 +621,16 @@ impl Lemma14Engine {
         if walk.consumed.len() < sigma {
             walk.consumed.resize(sigma, 0);
         }
-        // No profile arrived since the last extension: every node has seen
-        // every profile already, so the scan below would add nothing.
-        if walk
-            .consumed
-            .iter()
-            .zip(s_sets.iter())
-            .all(|(&seen, pids)| seen == pids.len())
-        {
-            return Ok(());
-        }
         let old_len = walk.nodes.len();
         let mut scratch: Vec<BehaviorId> = Vec::with_capacity(needed.len());
         let mut n = 0usize;
         // Nodes are appended in discovery order, so the index scan is BFS.
         while n < walk.nodes.len() {
             let (d, h) = walk.nodes[n];
-            for &(c, d2) in moves.from(d) {
-                let c = c as usize;
-                let pids = &s_sets[c];
+            for (c, pids) in s_sets.iter().enumerate().take(sigma) {
+                let Some(d2) = dfa.step(d, c as u32) else {
+                    continue;
+                };
                 // Pre-existing nodes already saw the first `consumed[c]`
                 // profiles of `c` in an earlier extension.
                 let skip = if n < old_len { walk.consumed[c] } else { 0 };
@@ -753,18 +741,21 @@ impl Lemma14Engine {
                     return letters;
                 }
                 let dfa = &self.din_dfas[a];
-                let moves = &self.din_moves[a];
-                let productive = |c: u32| self.productive[c as usize];
                 let n = dfa.num_states();
                 // Forward reachability over productive letters.
                 let mut fwd = vec![false; n];
                 let mut stack = vec![dfa.initial_state()];
                 fwd[dfa.initial_state() as usize] = true;
                 while let Some(q) = stack.pop() {
-                    for &(c, r) in moves.from(q) {
-                        if productive(c) && !fwd[r as usize] {
-                            fwd[r as usize] = true;
-                            stack.push(r);
+                    for c in 0..self.sigma as u32 {
+                        if !self.productive[c as usize] {
+                            continue;
+                        }
+                        if let Some(r) = dfa.step(q, c) {
+                            if !fwd[r as usize] {
+                                fwd[r as usize] = true;
+                                stack.push(r);
+                            }
                         }
                     }
                 }
@@ -774,8 +765,11 @@ impl Lemma14Engine {
                     if !fwd[q as usize] {
                         continue;
                     }
-                    for &(c, r) in moves.from(q) {
-                        if productive(c) {
+                    for c in 0..self.sigma as u32 {
+                        if !self.productive[c as usize] {
+                            continue;
+                        }
+                        if let Some(r) = dfa.step(q, c) {
                             rev[r as usize].push(q);
                         }
                     }
@@ -800,9 +794,14 @@ impl Lemma14Engine {
                     if !(fwd[q as usize] && bwd[q as usize]) {
                         continue;
                     }
-                    for &(c, r) in moves.from(q) {
-                        if productive(c) && fwd[r as usize] && bwd[r as usize] {
-                            letters.insert(c);
+                    for c in 0..self.sigma as u32 {
+                        if !self.productive[c as usize] || letters.contains(c) {
+                            continue;
+                        }
+                        if let Some(r) = dfa.step(q, c) {
+                            if fwd[r as usize] && bwd[r as usize] {
+                                letters.insert(c);
+                            }
                         }
                     }
                 }
@@ -829,10 +828,11 @@ impl Lemma14Engine {
                 hit = Some((q, layer));
                 break 'bfs;
             }
-            for &(c, r) in self.din_moves[a].from(q) {
+            for c in 0..self.sigma as u32 {
                 if !self.productive[c as usize] {
                     continue;
                 }
+                let Some(r) = dfa.step(q, c) else { continue };
                 let nl = if c as usize == b { 1 } else { layer };
                 if nl < layer {
                     continue;
@@ -1164,74 +1164,25 @@ impl Walk {
     }
 }
 
-/// A rule DFA's defined transitions as per-state `(letter, target)` lists in
-/// ascending letter order: scans visit exactly the moves `Dfa::step` would
-/// find, in the same order, without probing every letter of Σ per state.
-struct Moves {
-    /// State `q`'s moves are `moves[start[q]..start[q + 1]]`.
-    start: Vec<u32>,
-    moves: Vec<(u32, u32)>,
-}
-
-impl Moves {
-    /// The moves of `dfa` on letters below `sigma`.
-    fn of(dfa: &Dfa, sigma: usize) -> Moves {
-        let mut start = Vec::with_capacity(dfa.num_states() + 1);
-        let mut moves = Vec::new();
-        for q in 0..dfa.num_states() as u32 {
-            start.push(moves.len() as u32);
-            for c in 0..sigma as u32 {
-                if let Some(r) = dfa.step(q, c) {
-                    moves.push((c, r));
-                }
-            }
-        }
-        start.push(moves.len() as u32);
-        Moves { start, moves }
-    }
-
-    /// The moves out of state `q`.
-    fn from(&self, q: u32) -> &[(u32, u32)] {
-        &self.moves[self.start[q as usize] as usize..self.start[q as usize + 1] as usize]
-    }
-}
-
 /// *Productive* symbols computed from the materialized rule DFAs: `a` is
 /// productive iff some finite tree rooted at `a` locally satisfies the DTD.
 /// Same fixpoint as [`Dtd::productive_symbols`], but over the engine's DFA
-/// vector and its [`Moves`] — symbols without a rule hold an ε-only DFA,
-/// which the restricted acceptance check classifies as productive leaves,
-/// and no rule has to be re-converted from its regex form.
-fn productive_from_dfas(din_dfas: &[Arc<Dfa>], din_moves: &[Moves]) -> Vec<bool> {
+/// vector — symbols without a rule hold an ε-only DFA, which the restricted
+/// acceptance check classifies as productive leaves, and no rule has to be
+/// re-converted from its regex form.
+fn productive_from_dfas(din_dfas: &[Arc<Dfa>]) -> Vec<bool> {
     let sigma = din_dfas.len();
+    let nfas: Vec<xmlta_automata::Nfa> = din_dfas.iter().map(|d| d.to_nfa()).collect();
     let mut productive = vec![false; sigma];
-    let mut seen: Vec<bool> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
     loop {
         let mut changed = false;
-        for s in 0..sigma {
+        for (s, nfa) in nfas.iter().enumerate() {
             if productive[s] {
                 continue;
             }
-            // Does the DFA accept some word over productive letters?
-            let dfa = &din_dfas[s];
-            seen.clear();
-            seen.resize(dfa.num_states(), false);
-            stack.clear();
-            stack.push(dfa.initial_state());
-            seen[dfa.initial_state() as usize] = true;
-            while let Some(q) = stack.pop() {
-                if dfa.is_final_state(q) {
-                    productive[s] = true;
-                    changed = true;
-                    break;
-                }
-                for &(c, r) in din_moves[s].from(q) {
-                    if productive[c as usize] && !seen[r as usize] {
-                        seen[r as usize] = true;
-                        stack.push(r);
-                    }
-                }
+            if nfa.accepts_some_restricted(|l| productive[l as usize]) {
+                productive[s] = true;
+                changed = true;
             }
         }
         if !changed {

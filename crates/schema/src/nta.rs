@@ -55,12 +55,6 @@ impl Nta {
         self.alphabet_size
     }
 
-    /// Grows the alphabet to at least `n` symbols (new symbols get no
-    /// transitions).
-    pub fn grow_alphabet(&mut self, n: usize) {
-        self.alphabet_size = self.alphabet_size.max(n);
-    }
-
     /// Marks `q` final.
     pub fn set_final(&mut self, q: u32) {
         self.is_final[q as usize] = true;

@@ -560,9 +560,9 @@ impl Session {
     /// structured edit, registers the successor under its own
     /// content-derived handle (the canonical printed source — exactly what
     /// a from-scratch `register` of that source would yield), and computes
-    /// its verdict incrementally where the retained engine applies. A DTD
-    /// instance's edit is adopted as is: it equals the parse of its print,
-    /// so the print is only hashed for the handle, never re-parsed
+    /// its verdict incrementally where the retained engine applies. The
+    /// edited instance is adopted in the form its print parses to, so the
+    /// print is only hashed for the handle, never re-parsed
     /// ([`Shared::register_edited`]).
     ///
     /// Runs synchronously in the reader like `register` — it mutates the
@@ -600,18 +600,8 @@ impl Session {
             }
         };
         let resolve_span = xmlta_obs::span("resolve");
-        let registered = self.shared.register_edited(printed, edited, &old);
+        let new = self.shared.register_edited(printed, edited, &old);
         resolve_span.finish();
-        let new = match registered {
-            Ok(prepared) => prepared,
-            Err(e) => {
-                return proto::error_frame(&Reject {
-                    id: id.clone(),
-                    code: code::INVALID_INSTANCE,
-                    message: format!("edited instance does not parse: {e}"),
-                })
-            }
-        };
         let reused = new.fingerprints().shared_with(old.fingerprints()) as u64;
         counters.components_reused.add(reused);
         let status = update_status(&self.shared, &old, &new);

@@ -28,6 +28,7 @@ use xmlta_base::fxhash::FxHasher;
 use xmlta_obs::Counter;
 use xmlta_schema::StringLang;
 use xmlta_service::binfmt::{decode_instance, BinError};
+use xmlta_service::canon::canonicalize;
 use xmlta_service::lru::Lru;
 use xmlta_service::{
     parse_instance, warm_instance, ArtifactBackend, ComponentFingerprints, ParseError,
@@ -305,40 +306,28 @@ impl Shared {
     }
 
     /// Registers an `update`'s successor: `edited`, an edit of `prev`, is
-    /// adopted as the parse of `printed`, its canonical print, under
+    /// adopted as the parse of `printed`, its print, under
     /// [`handle_for_source`]`(printed)` — the artifact a `register` of
-    /// `printed` would yield, without parsing it. [`apply_edit`] keeps
-    /// every edited DTD instance equal to that parse, and the components
-    /// it shares with `prev` keep their fingerprints. Known content
-    /// returns the existing artifact, as [`Shared::register`] does.
-    ///
-    /// The one exception is an instance with an NTA schema: NTA
-    /// transition languages print as regexes by state elimination, which
-    /// keeps their language but not their automata, so only parsing
-    /// `printed` yields what `register` would.
+    /// `printed` would yield, without parsing it: [`canonicalize`] brings
+    /// `edited` to the structure that parse has. The components `edited`
+    /// shares with `prev` keep their fingerprints. Known content returns
+    /// the existing artifact, as [`Shared::register`] does.
     pub fn register_edited(
         &self,
         printed: String,
-        edited: Instance,
+        mut edited: Instance,
         prev: &Prepared,
-    ) -> Result<Arc<Prepared>, ParseError> {
+    ) -> Arc<Prepared> {
         if let Some(hit) = self.lookup(ContentKind::Text, printed.as_bytes()) {
-            return Ok(hit);
+            return hit;
         }
-        let has_nta = [&edited.input, &edited.output]
-            .iter()
-            .any(|s| matches!(s, Schema::Nta(_)));
-        let instance = if has_nta {
-            parse_instance(&printed)?
-        } else {
-            edited
-        };
-        Ok(self.adopt(
+        canonicalize(&mut edited);
+        self.adopt(
             handle_for_source(&printed),
             RegisteredContent::Text(printed),
-            instance,
+            edited,
             Some(prev),
-        ))
+        )
     }
 
     /// The retained artifact for the given content, bumping its recency.
@@ -468,60 +457,71 @@ pub fn handle_for_source(source: &str) -> String {
 }
 
 /// Applies a structured [`Edit`] to an instance, producing the successor
-/// version. Pure instance surgery — no registration, no typechecking.
-///
-/// The successor equals what parsing its canonical print yields, so the
-/// caller can adopt it under the printed source's handle without a
-/// re-parse ([`Shared::register_edited`]). The print declares the whole
-/// alphabet up front, so the parse sizes every section by it; the
-/// successor's schemas and transducer are grown to match.
+/// version. Pure instance surgery — no registration, no typechecking; the
+/// caller prints the result canonically and registers the printed source,
+/// so the successor's handle is exactly what a from-scratch registration
+/// of that source would get.
 pub fn apply_edit(instance: &Instance, edit: &Edit) -> Result<Instance, String> {
     let mut alphabet = instance.alphabet.clone();
-    let mut input = instance.input.clone();
-    let mut output = instance.output.clone();
-    let mut transducer = match edit {
-        Edit::SetRule { state, symbol, rhs } => instance
-            .transducer
-            .with_rule(state, symbol, rhs, &mut alphabet)
-            .map_err(|e| e.to_string())?,
+    match edit {
+        Edit::SetRule { state, symbol, rhs } => {
+            let transducer = instance
+                .transducer
+                .with_rule(state, symbol, rhs, &mut alphabet)
+                .map_err(|e| e.to_string())?;
+            Ok(Instance {
+                alphabet,
+                input: instance.input.clone(),
+                output: instance.output.clone(),
+                transducer,
+            })
+        }
         Edit::RemoveRule { state, symbol } => {
             let sym = alphabet
                 .lookup(symbol)
                 .ok_or_else(|| format!("unknown symbol `{symbol}`"))?;
-            instance
+            let transducer = instance
                 .transducer
                 .without_rule(state, sym)
-                .map_err(|e| e.to_string())?
+                .map_err(|e| e.to_string())?;
+            Ok(Instance {
+                alphabet,
+                input: instance.input.clone(),
+                output: instance.output.clone(),
+                transducer,
+            })
         }
         Edit::SetSchemaRule {
-            output: on_output,
+            output,
             symbol,
             rhs,
         } => {
-            let side = if *on_output { &mut output } else { &mut input };
+            let side = if *output {
+                &instance.output
+            } else {
+                &instance.input
+            };
             let Schema::Dtd(dtd) = side else {
                 return Err("schema edits require a DTD schema".into());
             };
             let sym = alphabet.intern(symbol);
             let re = Regex::parse(rhs, &mut alphabet).map_err(|e| format!("bad rule rhs: {e}"))?;
+            let mut dtd = dtd.clone();
             dtd.set_rule(sym, StringLang::Regex(re));
-            instance.transducer.clone()
-        }
-    };
-    let sigma = alphabet.len();
-    for schema in [&mut input, &mut output] {
-        match schema {
-            Schema::Dtd(d) => d.grow_alphabet(sigma),
-            Schema::Nta(n) => n.grow_alphabet(sigma),
+            dtd.grow_alphabet(alphabet.len());
+            let (input, output) = if *output {
+                (instance.input.clone(), Schema::Dtd(dtd))
+            } else {
+                (Schema::Dtd(dtd), instance.output.clone())
+            };
+            Ok(Instance {
+                alphabet,
+                input,
+                output,
+                transducer: instance.transducer.clone(),
+            })
         }
     }
-    transducer.grow_alphabet(sigma);
-    Ok(Instance {
-        alphabet,
-        input,
-        output,
-        transducer,
-    })
 }
 
 /// The handle a binary frame registers under: like [`handle_for_source`]

@@ -454,9 +454,173 @@ fn adopted_successors_equal_their_reparse() {
         }
     }
 
-    // NTA schemas print by state elimination, which keeps languages but
-    // not automata: their successors must still equal the re-parse.
-    const NTA_BASE: &str = "\
+    for (what, base, edits) in [
+        ("selectors", SELECTOR_BASE, selector_edits()),
+        ("automata", AUTOMATA_BASE, automata_edits()),
+        ("nta", NTA_BASE, nta_edits()),
+    ] {
+        run_chain(&shared, what, base, &edits);
+    }
+}
+
+fn set_rule(state: &str, symbol: &str, rhs: &str) -> Edit {
+    Edit::SetRule {
+        state: state.to_string(),
+        symbol: symbol.to_string(),
+        rhs: rhs.to_string(),
+    }
+}
+
+/// Sends `edits` as one chain from `base`: every successor must equal its
+/// re-parse (see [`assert_adopted_equals_reparse`]), and every verdict
+/// must be byte-identical to a scratch server's for the printed source.
+fn run_chain(shared: &Arc<Shared>, what: &str, base: &str, edits: &[Edit]) {
+    let mut session = Session::new(Arc::clone(shared));
+    frame(&mut session, r#"{"id": 0, "op": "hello", "max_v": 2}"#);
+    let registered = frame(&mut session, &proto::req_register(1, base));
+    let mut handle = registered
+        .get("handle")
+        .and_then(|j| j.as_str())
+        .unwrap_or_else(|| panic!("{what}: the base registers: {registered:?}"))
+        .to_string();
+    let mut mirror = parse_instance(base).expect("the base parses");
+    for (step, edit) in edits.iter().enumerate() {
+        let id = 200 + step as u64;
+        let (reply, printed, next) = update_step(&mut session, id, &handle, &mirror, edit);
+        handle = reply
+            .get("handle")
+            .and_then(|j| j.as_str())
+            .expect("update replies with a handle")
+            .to_string();
+        let what = format!("{what} step {step} {edit:?}");
+        assert_adopted_equals_reparse(shared, &printed, &handle, &what);
+        let mut scratch = Session::new(Shared::new());
+        let scratch_handle = frame(&mut scratch, &proto::req_register(id, &printed));
+        let scratch_handle = scratch_handle
+            .get("handle")
+            .and_then(|j| j.as_str())
+            .expect("scratch registers the print");
+        let expected = frame(
+            &mut scratch,
+            &proto::req_typecheck_handle(id, scratch_handle),
+        );
+        assert_eq!(
+            verdict_fields(&reply),
+            verdict_fields(&expected),
+            "{what}: verdict differs from scratch"
+        );
+        mirror = next;
+    }
+}
+
+/// XPath selectors print inline at their use sites, so the parse numbers
+/// them in printed rule order and keeps only those some rule uses.
+const SELECTOR_BASE: &str = "\
+alphabet { r a b x y z }
+input dtd {
+  start r
+  r -> a b
+  a -> x*
+  b -> y*
+}
+output dtd {
+  start r
+  r -> a b
+  a -> x* z*
+  b -> y*
+}
+transducer {
+  states root p q
+  initial root
+  (root, r) -> r(<p, ./a> <p, ./b>)
+  (p, a) -> a(<q, .//x>)
+  (p, b) -> b(q)
+  (q, x) -> x
+  (q, y) -> y
+}
+";
+
+fn selector_edits() -> Vec<Edit> {
+    vec![
+        // A selector in a rule printed before the last one in the table.
+        set_rule("p", "b", "b(<q, .//y>)"),
+        // A selector that does not compile replaces `.//x`...
+        set_rule("p", "a", "a(<q, ./a[./b]>)"),
+        // ...and is dropped again: it must not outlive its rule.
+        set_rule("p", "a", "a(q)"),
+        Edit::RemoveRule {
+            state: "p".to_string(),
+            symbol: "b".to_string(),
+        },
+        set_rule("root", "r", "r(<p, .//a> <p, ./b>)"),
+        set_rule("p", "b", "b(<q, ./y> <q, ./x>)"),
+        set_rule("root", "r", "r(p)"),
+    ]
+}
+
+/// No alphabet section: each automaton is sized by the symbols seen when
+/// it was parsed, the `@dfa`/`@nfa` rules and the DFA selector alike,
+/// while the print declares the whole alphabet first. The NFA's edges are
+/// out of the printer's order.
+const AUTOMATA_BASE: &str = "\
+input dtd {
+  start r
+  r -> @dfa {
+    states 2
+    final 1
+    0 a 1
+    1 a 1
+  }
+  a -> @nfa {
+    states 2
+    initial 0
+    final 0 1
+    1 x 1
+    0 x 1
+    0 x 0
+  }
+}
+output dtd {
+  start r
+  r -> a*
+  a -> x* y*
+}
+transducer {
+  states root p
+  initial root
+  selector $d = @dfa {
+    states 2
+    final 1
+    0 a 1
+  }
+  (root, r) -> r(<p, $d>)
+  (p, a) -> a(p)
+  (p, x) -> x
+}
+";
+
+fn automata_edits() -> Vec<Edit> {
+    vec![
+        set_rule("p", "x", "x x"),
+        // Fresh symbols on every component.
+        set_rule("p", "x", "w1"),
+        Edit::SetSchemaRule {
+            output: true,
+            symbol: "a".to_string(),
+            rhs: "x* u2*".to_string(),
+        },
+        Edit::SetSchemaRule {
+            output: false,
+            symbol: "v3".to_string(),
+            rhs: "x*".to_string(),
+        },
+        set_rule("p", "x", "x"),
+    ]
+}
+
+/// NTA transition languages print by state elimination, which keeps their
+/// languages but not their automata.
+const NTA_BASE: &str = "\
 input nta {
   states q0 q1
   final q0
@@ -476,31 +640,12 @@ transducer {
   (a, x) -> x
 }
 ";
-    let mut session = Session::new(Arc::clone(&shared));
-    frame(&mut session, r#"{"id": 0, "op": "hello", "max_v": 2}"#);
-    let registered = frame(&mut session, &proto::req_register(1, NTA_BASE));
-    let mut handle = registered
-        .get("handle")
-        .and_then(|j| j.as_str())
-        .expect("the NTA base registers")
-        .to_string();
-    let mut mirror = parse_instance(NTA_BASE).expect("the NTA base parses");
-    for (step, rhs) in ["x x", "x", "x x x"].iter().enumerate() {
-        let edit = Edit::SetRule {
-            state: "a".to_string(),
-            symbol: "x".to_string(),
-            rhs: rhs.to_string(),
-        };
-        let (reply, printed, next) =
-            update_step(&mut session, 200 + step as u64, &handle, &mirror, &edit);
-        handle = reply
-            .get("handle")
-            .and_then(|j| j.as_str())
-            .expect("update replies with a handle")
-            .to_string();
-        assert_adopted_equals_reparse(&shared, &printed, &handle, &format!("NTA step {step}"));
-        mirror = next;
-    }
+
+fn nta_edits() -> Vec<Edit> {
+    ["x x", "x", "w", "x x x"]
+        .iter()
+        .map(|rhs| set_rule("a", "x", rhs))
+        .collect()
 }
 
 /// The sectioned instance of the edit-stream benchmark, in small: `r ->

@@ -6,7 +6,8 @@
 //!
 //! * [`parse`] / [`print`] — a concrete textual format for instances
 //!   (DTD/NTA schemas + transducer) with line/col error reporting, so
-//!   instances load from files and round-trip through text;
+//!   instances load from files and round-trip through text; [`canon`]
+//!   builds the parse of an instance's print without printing it;
 //! * [`binfmt`] — the binary instance format (`.xtb`): a versioned,
 //!   length-prefixed, varint-packed encoding with a borrowing decoder that
 //!   rebuilds instances without re-tokenizing text, plus the base64
@@ -75,6 +76,7 @@ pub mod artifact;
 pub mod batch;
 pub mod binfmt;
 pub mod cache;
+pub mod canon;
 pub mod error;
 pub mod gen;
 pub mod incremental;

@@ -162,8 +162,7 @@ fn print_nfa_block(
 
 fn print_nta(out: &mut String, which: &str, nta: &Nta, a: &Alphabet) -> Result<(), PrintError> {
     let _ = writeln!(out, "{which} nta {{");
-    // NTAs carry no state names; generated `q{i}` names pin state indices.
-    let state_names = Alphabet::from_names((0..nta.num_states()).map(|i| format!("q{i}")));
+    let state_names = nta_state_names(nta.num_states());
     let rendered: Vec<&str> = state_names.symbols().map(|s| state_names.name(s)).collect();
     let _ = writeln!(out, "  states {}", rendered.join(" "));
     let finals: Vec<&str> = nta
@@ -185,6 +184,12 @@ fn print_nta(out: &mut String, which: &str, nta: &Nta, a: &Alphabet) -> Result<(
     }
     out.push_str("}\n");
     Ok(())
+}
+
+/// The names an NTA's `n` states print under: NTAs carry no state names,
+/// so generated `q{i}` names pin state indices.
+pub(crate) fn nta_state_names(n: usize) -> Alphabet {
+    Alphabet::from_names((0..n).map(|i| format!("q{i}")))
 }
 
 fn print_transducer(out: &mut String, t: &Transducer, a: &Alphabet) -> Result<(), PrintError> {

@@ -92,9 +92,67 @@ impl Transducer {
     }
 
     /// Grows the alphabet to at least `n` symbols (new symbols get no
-    /// rules).
+    /// rules); DFA selectors are widened to the grown alphabet.
     pub fn grow_alphabet(&mut self, n: usize) {
         self.alphabet_size = self.alphabet_size.max(n);
+        for sel in &mut self.selectors {
+            if let Selector::Dfa(dfa) = sel {
+                dfa.grow_alphabet(self.alphabet_size);
+            }
+        }
+    }
+
+    /// Renumbers the selector table the way [`TransducerBuilder`] numbers
+    /// it when given this transducer's DFA selectors and then its rules in
+    /// `(state, symbol)` order: the DFA selectors first, in their current
+    /// order, then one XPath selector per use site, in rule order and rhs
+    /// preorder. XPath selectors no rule uses are dropped. Only rules whose
+    /// selector ids change are replaced.
+    pub fn compact_selectors(&mut self) {
+        if self.selectors.is_empty() {
+            return;
+        }
+        let mut dfa_ids: Vec<Option<u32>> = vec![None; self.selectors.len()];
+        let mut selectors: Vec<Selector> = Vec::new();
+        for (i, sel) in self.selectors.iter().enumerate() {
+            if let Selector::Dfa(_) = sel {
+                dfa_ids[i] = Some(selectors.len() as u32);
+                selectors.push(sel.clone());
+            }
+        }
+        fn renumber(
+            nodes: &mut [RhsNode],
+            old: &[Selector],
+            dfa_ids: &[Option<u32>],
+            selectors: &mut Vec<Selector>,
+        ) {
+            for node in nodes {
+                match node {
+                    RhsNode::Elem(_, children) => renumber(children, old, dfa_ids, selectors),
+                    RhsNode::State(_) => {}
+                    RhsNode::Select(_, sel) => {
+                        *sel = dfa_ids[*sel as usize].unwrap_or_else(|| {
+                            selectors.push(old[*sel as usize].clone());
+                            (selectors.len() - 1) as u32
+                        });
+                    }
+                }
+            }
+        }
+        let mut keys: Vec<(StateId, Symbol)> = self.rules.keys().copied().collect();
+        keys.sort_unstable();
+        for key in keys {
+            let rhs = &self.rules[&key];
+            if !rhs.has_selectors() {
+                continue;
+            }
+            let mut nodes = rhs.nodes.clone();
+            renumber(&mut nodes, &self.selectors, &dfa_ids, &mut selectors);
+            if nodes != rhs.nodes {
+                self.rules.insert(key, Arc::new(Rhs::new(nodes)));
+            }
+        }
+        self.selectors = selectors;
     }
 
     /// The paper's size measure `|Q| + |Σ| + Σ |rhs(q, a)|`.
@@ -214,9 +272,11 @@ impl Transducer {
 
     /// A copy of this transducer with the rule `(state, symbol) → rhs_src`
     /// set (added or replaced). The rhs is parsed with the standard rule
-    /// grammar; inline XPath selectors are appended to the selector table,
-    /// but named `$dfa` selector references cannot be resolved here (builder
-    /// names are not retained) and surface as [`BuildError::UnknownState`].
+    /// grammar; inline XPath selectors are appended to the selector table
+    /// (a replaced rule's selectors stay in it until
+    /// [`Transducer::compact_selectors`]), but named `$dfa` selector
+    /// references cannot be resolved here (builder names are not retained)
+    /// and surface as [`BuildError::UnknownState`].
     /// The state space is unchanged — the edit primitive of the incremental
     /// `update` path, which requires a stable state space.
     pub fn with_rule(
