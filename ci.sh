@@ -217,6 +217,56 @@ exec {RAW[1]}>&-
 wait "$RAW_PID"
 grep -qF "\"status\":\"counterexample\",\"input\":\"$cli_input\",\"output\":\"$cli_image\"" <<< "$reply" \
     || { echo "chained update counterexample differs from xmlta typecheck: $reply"; exit 1; }
+
+echo "== Theorem 20 smoke (NTA/NTA counterexample: one-shot CLI = daemon)"
+# A deleting relabeling between tree automata runs the Theorem 20 engine
+# (the output automaton is deterministic and complete). The daemon's
+# counterexample, over its schema cache, must be byte-identical to the
+# one-shot CLI's.
+cat > "$smoke/thm20.xti" <<'EOF'
+alphabet { r x y s }
+input nta {
+  states qr qx qy
+  final qr
+  (qr, r) -> qx*
+  (qx, x) -> qy qy
+  (qy, y) -> eps
+}
+output nta {
+  states good bad
+  final good
+  (good, s) -> good*
+  (bad, s) -> (good | bad)* bad (good | bad)*
+  (good, y) -> eps
+  (bad, y) -> (good | bad)+
+  (bad, r) -> (good | bad)*
+  (bad, x) -> (good | bad)*
+}
+transducer {
+  states q
+  initial q
+  (q, r) -> s(q)
+  (q, x) -> x(q)
+  (q, y) -> y
+}
+EOF
+set +e
+xmlta typecheck "$smoke/thm20.xti" > "$smoke/thm20-cli.txt"
+rc=$?
+set -e
+[[ "$rc" -eq 1 ]] || { echo "Theorem 20 instance: expected exit 1, got $rc"; exit 1; }
+cli_input="$(sed -n 's/.*counterexample input: //p' "$smoke/thm20-cli.txt")"
+cli_image="$(sed -n 's/.*counterexample image: //p' "$smoke/thm20-cli.txt")"
+[[ -n "$cli_input" && -n "$cli_image" ]] \
+    || { echo "Theorem 20 CLI printed no counterexample"; cat "$smoke/thm20-cli.txt"; exit 1; }
+coproc RAW { xmlta client --socket "$sock" raw; }
+raw_roundtrip '{"id":1,"op":"hello","max_v":2}'
+raw_roundtrip "{\"id\":2,\"op\":\"typecheck\",\"source\":\"$(awk '{printf "%s\\n", $0}' "$smoke/thm20.xti")\"}"
+exec {RAW[1]}>&-
+wait "$RAW_PID"
+grep -qF "\"status\":\"counterexample\",\"input\":\"$cli_input\",\"output\":\"$cli_image\"" <<< "$reply" \
+    || { echo "daemon Theorem 20 counterexample differs from xmlta typecheck: $reply"; exit 1; }
+
 # The daemon-wide counters saw both updates and the reuse.
 xmlta client --socket "$sock" stats > "$smoke/update-stats.json"
 grep -Eq '"update_reqs": *[1-9]' "$smoke/update-stats.json" \

@@ -14,20 +14,36 @@
 //!    `γ(t)` is *not* a single tree accepted by `A_out`; `#`-nodes carry
 //!    jump pairs `(x, y)` over the transition-automaton state space, and a
 //!    virtual-root component checks "exactly one accepted root".
-//! 4. **Product + emptiness** (Proposition 4) — the instance typechecks iff
-//!    `L(B_in ∩ B_out) = ∅`; a witness output tree is decoded back into an
-//!    input counterexample through `B_in`'s accepting run.
+//! 4. **On-the-fly product emptiness** (Proposition 4) — the instance
+//!    typechecks iff `L(B_in) ∩ L(B_out) = ∅`. The product is never built:
+//!    [`product::intersection_witness`] runs the emptiness fixpoint
+//!    bottom-up over the pairs `(p ∈ B_in, r ∈ B_out)` that some output
+//!    tree inhabits, exploring each candidate's two horizontal NFAs together
+//!    and re-examining only the candidates that read a newly inhabited
+//!    pair. It stops at the first inhabited pair of final states. Its
+//!    witness DAG expands (up to `WITNESS_CAP` nodes) into the output
+//!    tree together with `B_in`'s run on it, and that run decodes the tree
+//!    back into an input counterexample. A non-empty product whose witness
+//!    does not fit under the cap is a [`TypecheckError::ResourceLimit`],
+//!    never a "typechecks".
 
 use crate::{CounterExample, Outcome, TypecheckError};
 use xmlta_automata::Nfa;
 use xmlta_base::{FxHashMap, Symbol};
-use xmlta_schema::emptiness::{self, reachable_states};
+use xmlta_schema::emptiness::{reachable_states, Reachability};
 use xmlta_schema::{dta, product, Nta};
 use xmlta_transducer::rhs::{Rhs, RhsNode, StateId};
 use xmlta_transducer::Transducer;
 use xmlta_tree::Tree;
 
+/// Node cap on the explicit trees a counterexample is built from: the
+/// output witness, and (between them) the input children synthesized under
+/// rules that drop them.
 const WITNESS_CAP: usize = 1_000_000;
+
+fn witness_cap_error() -> TypecheckError {
+    TypecheckError::ResourceLimit("counterexample tree exceeds the expansion cap".into())
+}
 
 /// The joint alphabet size the pipeline runs over (steps 1–4 all extend it
 /// by the fresh `#` symbol). Callers pre-building [`bout_product`]s must
@@ -126,22 +142,17 @@ pub fn typecheck_delrelab_with_bout(
     let tp = wrap_transducer(t, sigma, hash);
 
     // Step 2: B_in = T'(L(A_in)).
-    let (bin, meta) = forward_image(ain, &tp, sigma, sigma2);
+    let (bin, meta) = forward_image(ain, tp, sigma, sigma2);
 
-    // Step 4: product + emptiness (step 3 is `bout`).
-    let prod = product::intersect(&bin, bout);
-    match emptiness::witness_tree(&prod, WITNESS_CAP) {
-        None => Ok(Outcome::TypeChecks),
-        Some(out_tree) => {
-            // Decode the product witness into an input counterexample.
-            let run = bin
-                .accepting_run(&out_tree)
-                .expect("product witness is accepted by B_in");
-            let input = rebuild_input(&meta, ain, &out_tree, &run, 0);
-            let output = t.apply(&input);
-            Ok(Outcome::CounterExample(CounterExample { input, output }))
-        }
-    }
+    // Step 4: on-the-fly product emptiness (step 3 is `bout`).
+    let Some(witness) = product::intersection_witness(&bin, bout) else {
+        return Ok(Outcome::TypeChecks);
+    };
+    // Decode the witness into an input counterexample through B_in's run.
+    let (out_tree, run) = witness.expand(WITNESS_CAP).ok_or_else(witness_cap_error)?;
+    let input = rebuild_input(&meta, ain, &out_tree, &run, 0, &mut { WITNESS_CAP })?;
+    let output = t.apply(&input);
+    Ok(Outcome::CounterExample(CounterExample { input, output }))
 }
 
 /// The `T'` of the pipeline: per (state, symbol) a single-rooted rhs tree.
@@ -153,13 +164,11 @@ struct Wrapped {
 }
 
 /// A single rhs tree in flattened pre-order form.
-#[derive(Clone)]
 struct WrappedRhs {
     /// Pre-order nodes: (label-or-state, children indices).
     nodes: Vec<WNode>,
 }
 
-#[derive(Clone)]
 enum WNode {
     Elem(usize, Vec<usize>),
     State(StateId),
@@ -236,17 +245,16 @@ fn flatten(n: &RhsNode, nodes: &mut Vec<WNode>) -> usize {
 struct BinMeta {
     /// B_in state id → (a, qA, qT, rhs node index).
     decode: Vec<(usize, u32, StateId, usize)>,
-    /// (a, qA, qT, node) → state id (kept for debugging/decoding tools).
-    #[allow(dead_code)]
-    encode: FxHashMap<(usize, u32, StateId, usize), u32>,
     wrapped: Wrapped,
-    realizable: Vec<bool>,
+    /// The `A_in` fixpoint: which states some input tree reaches, and a
+    /// witness for each — the input children a stateless rule drops.
+    reach: Reachability,
 }
 
 /// Lemma 19: builds `B_in` with `L(B_in) = T'(L(A_in))`.
-fn forward_image(ain: &Nta, tp: &Wrapped, sigma: usize, sigma2: usize) -> (Nta, BinMeta) {
+fn forward_image(ain: &Nta, tp: Wrapped, sigma: usize, sigma2: usize) -> (Nta, BinMeta) {
     let reach = reachable_states(ain);
-    let realizable = reach.reachable;
+    let realizable = &reach.reachable;
     let na = ain.num_states();
 
     // Enumerate states.
@@ -351,13 +359,8 @@ fn forward_image(ain: &Nta, tp: &Wrapped, sigma: usize, sigma2: usize) -> (Nta, 
         bin,
         BinMeta {
             decode,
-            encode,
-            wrapped: Wrapped {
-                rules: tp.rules.clone(),
-                num_states: tp.num_states,
-                initial: tp.initial,
-            },
-            realizable,
+            wrapped: tp,
+            reach,
         },
     )
 }
@@ -498,11 +501,20 @@ fn hash_complement(aout: &Nta, sigma: usize, sigma2: usize) -> Nta {
 }
 
 /// Decodes the product witness (an output tree over `Σ ∪ {#}`) back into an
-/// input tree using `B_in`'s accepting run.
-fn rebuild_input(meta: &BinMeta, ain: &Nta, out_tree: &Tree, run: &[u32], index: usize) -> Tree {
+/// input tree using `B_in`'s accepting run. Input children that a
+/// stateless rule drops are synthesized from the `A_in` fixpoint, charged
+/// to `budget`.
+fn rebuild_input(
+    meta: &BinMeta,
+    ain: &Nta,
+    out_tree: &Tree,
+    run: &[u32],
+    index: usize,
+    budget: &mut usize,
+) -> Result<Tree, TypecheckError> {
     let (a, q_a, q_t, u) = meta.decode[run[index] as usize];
     debug_assert_eq!(u, 0, "input nodes correspond to rhs roots");
-    let rhs = &meta.wrapped.rules[&(q_t, a)].clone();
+    let rhs = &meta.wrapped.rules[&(q_t, a)];
 
     // Find the rhs node holding the state leaf, and in parallel the output
     // node corresponding to it.
@@ -511,20 +523,19 @@ fn rebuild_input(meta: &BinMeta, ain: &Nta, out_tree: &Tree, run: &[u32], index:
         None => {
             // Input children were dropped: synthesize any realizable word.
             let children = match ain.transition(q_a, Symbol::from_index(a)) {
-                Some(nfa) => {
-                    let word = nfa
-                        .shortest_word_restricted(|l| meta.realizable[l as usize])
-                        .expect("gated at construction");
-                    word.into_iter()
-                        .map(|qa2| {
-                            emptiness::witness_tree_for_state(ain, qa2, WITNESS_CAP)
-                                .expect("realizable state")
-                        })
-                        .collect()
-                }
+                Some(nfa) => nfa
+                    .shortest_word_restricted(|l| meta.reach.reachable[l as usize])
+                    .expect("gated at construction")
+                    .into_iter()
+                    .map(|qa2| {
+                        meta.reach
+                            .tree_for_state(qa2, budget)
+                            .ok_or_else(witness_cap_error)
+                    })
+                    .collect::<Result<_, _>>()?,
                 None => Vec::new(),
             };
-            Tree::node(Symbol::from_index(a), children)
+            Ok(Tree::node(Symbol::from_index(a), children))
         }
         Some((parent_rhs_node, pos_in_children)) => {
             // Walk the output tree to the node for `parent_rhs_node`.
@@ -542,11 +553,11 @@ fn rebuild_input(meta: &BinMeta, ain: &Nta, out_tree: &Tree, run: &[u32], index:
             let mut child_idx = out_idx + 1;
             for (i, c) in out_node.children.iter().enumerate() {
                 if i >= pos_in_children && i < pos_in_children + consumed {
-                    input_children.push(rebuild_input(meta, ain, c, run, child_idx));
+                    input_children.push(rebuild_input(meta, ain, c, run, child_idx, budget)?);
                 }
                 child_idx += c.num_nodes();
             }
-            Tree::node(Symbol::from_index(a), input_children)
+            Ok(Tree::node(Symbol::from_index(a), input_children))
         }
     }
 }
@@ -748,6 +759,61 @@ mod tests {
         let dout = Dtd::parse("y -> ", &mut a).unwrap();
         let outcome = check(&din, &dout, &t, a.len());
         assert!(!outcome.type_checks(), "ε output is never schema-valid");
+    }
+
+    /// `r -> a0 a0`, `a_i -> a_{i+1} a_{i+1}`, `a20 -> ε`: every valid
+    /// input has 2^22 - 1 nodes, well over `WITNESS_CAP`.
+    fn doubling_dtd(a: &mut Alphabet) -> Dtd {
+        let mut rules = String::from("r -> a0 a0\n");
+        for i in 0..20 {
+            rules.push_str(&format!("a{i} -> a{} a{}\n", i + 1, i + 1));
+        }
+        rules.push_str("a20 -> \n");
+        Dtd::parse(&rules, a).unwrap()
+    }
+
+    /// Runs both engines on an instance whose only counterexamples exceed
+    /// the expansion cap: each must answer `ResourceLimit`, never
+    /// "typechecks" and never a panic.
+    fn assert_capped(din: &Dtd, dout: &Dtd, t: &Transducer, sigma: usize) {
+        let l14 = crate::lemma14::typecheck_dtds(din, dout, t, sigma);
+        assert!(
+            matches!(l14, Err(TypecheckError::ResourceLimit(_))),
+            "Lemma 14: {l14:?}"
+        );
+        let outcome = typecheck_delrelab(&dtd_to_nta(din), &dtd_to_dtac(dout), t, sigma);
+        assert!(
+            matches!(outcome, Err(TypecheckError::ResourceLimit(_))),
+            "Theorem 20: {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn capped_output_witness_is_a_resource_limit() {
+        let mut a = Alphabet::new();
+        let din = doubling_dtd(&mut a);
+        let mut builder = TransducerBuilder::new(&mut a)
+            .states(&["q", "d"])
+            .rule("q", "r", "s(d)");
+        for i in 0..=20 {
+            builder = builder.rule("d", &format!("a{i}"), "d");
+        }
+        let t = builder.build().unwrap();
+        let dout = Dtd::parse("s -> x", &mut a).unwrap();
+        assert_capped(&din, &dout, &t, a.len());
+    }
+
+    #[test]
+    fn capped_dropped_children_are_a_resource_limit() {
+        let mut a = Alphabet::new();
+        let din = doubling_dtd(&mut a);
+        let t = TransducerBuilder::new(&mut a)
+            .states(&["q"])
+            .rule("q", "r", "s")
+            .build()
+            .unwrap();
+        let dout = Dtd::parse("s -> x", &mut a).unwrap();
+        assert_capped(&din, &dout, &t, a.len());
     }
 
     #[test]

@@ -21,6 +21,18 @@ pub struct Reachability {
     pub witness: Vec<Option<(Symbol, Vec<u32>)>>,
 }
 
+impl Reachability {
+    /// Expands the witness of state `q` into a tree whose root reaches
+    /// `q`, charging its nodes to `budget`. `None` when `q` is unreachable
+    /// or the tree does not fit in what is left of the budget.
+    pub fn tree_for_state(&self, q: u32, budget: &mut usize) -> Option<Tree> {
+        if !self.reachable[q as usize] {
+            return None;
+        }
+        expand(self, q, &mut FxHashMap::default(), budget)
+    }
+}
+
 /// Runs the Figure A.1 fixpoint.
 pub fn reachable_states(nta: &Nta) -> Reachability {
     let n = nta.num_states();
@@ -60,9 +72,7 @@ pub fn is_empty(nta: &Nta) -> bool {
 pub fn witness_tree(nta: &Nta, node_cap: usize) -> Option<Tree> {
     let r = reachable_states(nta);
     let root = nta.final_states().find(|&q| r.reachable[q as usize])?;
-    let mut memo: FxHashMap<u32, Tree> = FxHashMap::default();
-    let mut budget = node_cap;
-    expand(&r, root, &mut memo, &mut budget)
+    r.tree_for_state(root, &mut { node_cap })
 }
 
 /// Expands the witness for state `q` into an explicit tree.
@@ -92,18 +102,6 @@ fn expand(
     let t = Tree::node(a, children);
     memo.insert(q, t.clone());
     Some(t)
-}
-
-/// Generates a tree whose root reaches state `q` (not necessarily final),
-/// or `None` when `q` is unreachable or the expansion exceeds `node_cap`.
-pub fn witness_tree_for_state(nta: &Nta, q: u32, node_cap: usize) -> Option<Tree> {
-    let r = reachable_states(nta);
-    if !r.reachable[q as usize] {
-        return None;
-    }
-    let mut memo: FxHashMap<u32, Tree> = FxHashMap::default();
-    let mut budget = node_cap;
-    expand(&r, q, &mut memo, &mut budget)
 }
 
 /// A compact description of a witness: for each state used, the symbol and

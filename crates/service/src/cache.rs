@@ -36,6 +36,7 @@
 use crate::artifact::{self, Artifact, ArtifactKind};
 use crate::batch::ItemStatus;
 use crate::lru::Lru;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use typecheck_core::{delrelab, Instance, Outcome, Schema, TypecheckError};
 use xmlta_automata::{Dfa, Nfa, Regex};
@@ -590,13 +591,15 @@ pub fn typecheck_cached(
         // Mirror the dispatch of `typecheck_core::typecheck` for the
         // Theorem 20 pipeline, with step 3 served from the cache.
         let transducer = if instance.transducer.uses_selectors() {
-            translate::expand_selectors_with_alphabet(
-                &instance.transducer,
-                instance.alphabet_size(),
+            Cow::Owned(
+                translate::expand_selectors_with_alphabet(
+                    &instance.transducer,
+                    instance.alphabet_size(),
+                )
+                .map_err(|e| TypecheckError::Selector(e.to_string()))?,
             )
-            .map_err(|e| TypecheckError::Selector(e.to_string()))?
         } else {
-            instance.transducer.clone()
+            Cow::Borrowed(&instance.transducer)
         };
         // Cheap transducer-class validation first, matching the direct
         // engine's error precedence and skipping the product entirely on

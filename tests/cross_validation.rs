@@ -5,9 +5,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use typecheck_core::naive::{typecheck_naive, Bounds};
-use typecheck_core::{lemma14, typecheck, Instance, Outcome, Schema};
+use typecheck_core::{delrelab, lemma14, typecheck, Instance, Outcome, Schema};
 use xmlta_base::Alphabet;
-use xmlta_schema::{generate, Dtd};
+use xmlta_schema::convert::dtd_to_nta;
+use xmlta_schema::{dta, generate, Dtd};
 use xmlta_transducer::random::{random_transducer, RandomTransducerParams};
 
 /// Builds a random small instance from a seed.
@@ -115,6 +116,51 @@ fn engine_counterexamples_are_genuine() {
             assert_eq!(t.apply(&ce.input), ce.output, "seed {seed}");
         }
     }
+}
+
+/// The Theorem 20 engine, run over the DTDs' tree automata (the output one
+/// completed to a `DTAc`), agrees with Lemma 14 on random deleting
+/// relabelings, and every counterexample it reports is a certified "no":
+/// a valid input whose image is the reported output, which is invalid.
+#[test]
+fn theorem20_agrees_with_lemma14_on_random_delrelabs() {
+    let (mut checked, mut failing) = (0, 0);
+    for seed in 0..600u64 {
+        let (a, din, dout, t) = random_instance(seed);
+        if delrelab::require_delrelab(&t).is_err() {
+            continue;
+        }
+        let ain = dtd_to_nta(&din);
+        let aout = dta::complete(&dtd_to_nta(&dout));
+        let thm20 = delrelab::typecheck_delrelab(&ain, &aout, &t, a.len())
+            .unwrap_or_else(|e| panic!("seed {seed}: Theorem 20 error {e}"));
+        let l14 = lemma14::typecheck_dtds(&din, &dout, &t, a.len())
+            .unwrap_or_else(|e| panic!("seed {seed}: Lemma 14 error {e}"));
+        assert_eq!(
+            thm20.type_checks(),
+            l14.type_checks(),
+            "seed {seed}: Theorem 20 and Lemma 14 disagree"
+        );
+        checked += 1;
+        if let Outcome::CounterExample(ce) = thm20 {
+            failing += 1;
+            assert!(
+                din.compile_to_dfas().accepts(&ce.input),
+                "seed {seed}: counterexample input invalid"
+            );
+            assert_eq!(t.apply(&ce.input), ce.output, "seed {seed}");
+            let valid = ce
+                .output
+                .as_ref()
+                .is_some_and(|o| dout.compile_to_dfas().accepts(o));
+            assert!(!valid, "seed {seed}: counterexample output is schema-valid");
+        }
+    }
+    assert!(checked >= 100, "only {checked} deleting relabelings drawn");
+    assert!(
+        failing > 0 && failing < checked,
+        "{failing} of {checked} failing: both verdicts must occur"
+    );
 }
 
 /// The dispatcher agrees with the directly-invoked engine.
