@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI for the xml-typecheck workspace. Run from the repo root.
 #
-#   ./ci.sh          # build, test, lint, format-check
+#   ./ci.sh          # build, test, lint, format-check, smokes, engine report
 #   ./ci.sh --bench  # additionally compile benches and refresh BENCH_lemma14.json
 #
 # All third-party dependencies are vendored as offline shims under
@@ -483,6 +483,12 @@ cargo test --release -q -p xmlta-server --test fleet_chaos fleet_smoke
 
 echo "== quickstart example"
 cargo run --release -q -p xmlta-examples --example quickstart > /dev/null
+
+echo "== engine report (lemma14 + kernel series, update refusal guard; scratch output)"
+# Exits nonzero when incremental updates do not clearly beat
+# from-scratch rechecks; the committed report is left untouched.
+cargo run --release -q -p xmlta-bench --bin lemma14_report -- ci --reps 3 \
+    --out "$smoke/lemma14.json"
 
 if [[ "${1:-}" == "--bench" ]]; then
     echo "== compile benches"

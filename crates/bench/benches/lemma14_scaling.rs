@@ -1,61 +1,23 @@
 //! E-L14: the Lemma 14 bound `O((|d_in| · |T|^{CK} · |d_out|^{CK})^α)`,
-//! swept per parameter.
+//! swept per parameter over [`LEMMA14_SWEEPS`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use typecheck_core::typecheck;
-use xmlta_hardness::workloads;
+use xmlta_bench::LEMMA14_SWEEPS;
 
-/// Sweep |d_in| via the filtering family depth.
-fn sweep_din(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lemma14/din-size");
-    group.sample_size(10);
-    for depth in [2usize, 4, 8, 16, 32] {
-        let w = workloads::filtering_family(depth);
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &w, |b, w| {
-            b.iter(|| assert!(typecheck(&w.instance).unwrap().type_checks()))
-        });
+fn sweeps(c: &mut Criterion) {
+    for sweep in &LEMMA14_SWEEPS {
+        let mut group = c.benchmark_group(sweep.name);
+        group.sample_size(10);
+        for &param in sweep.params {
+            let w = (sweep.family)(param);
+            group.bench_with_input(BenchmarkId::from_parameter(param), &w, |b, w| {
+                b.iter(|| assert!(typecheck(&w.instance).unwrap().type_checks()))
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
-/// Sweep the copying width C.
-fn sweep_c(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lemma14/copying-width");
-    group.sample_size(10);
-    for cw in [1usize, 2, 4, 8] {
-        let w = workloads::copying_family(cw);
-        group.bench_with_input(BenchmarkId::from_parameter(cw), &w, |b, w| {
-            b.iter(|| assert!(typecheck(&w.instance).unwrap().type_checks()))
-        });
-    }
-    group.finish();
-}
-
-/// Sweep the deletion path width K = 2^k.
-fn sweep_k(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lemma14/deletion-path-width");
-    group.sample_size(10);
-    for k in [1usize, 2, 3, 4] {
-        let w = workloads::deletion_family(k);
-        group.bench_with_input(BenchmarkId::from_parameter(k), &w, |b, w| {
-            b.iter(|| assert!(typecheck(&w.instance).unwrap().type_checks()))
-        });
-    }
-    group.finish();
-}
-
-/// Sweep |d_out| representation complexity (regex alternation width).
-fn sweep_dout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lemma14/dout-size");
-    group.sample_size(10);
-    for width in [2usize, 4, 8, 16] {
-        let w = workloads::regex_schema_family(width);
-        group.bench_with_input(BenchmarkId::from_parameter(width), &w, |b, w| {
-            b.iter(|| assert!(typecheck(&w.instance).unwrap().type_checks()))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(lemma14, sweep_din, sweep_c, sweep_k, sweep_dout);
+criterion_group!(lemma14, sweeps);
 criterion_main!(lemma14);

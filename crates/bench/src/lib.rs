@@ -1,9 +1,51 @@
 //! Shared helpers for the bench binaries.
 //!
-//! The [`report`] module owns the on-disk history discipline for
-//! `BENCH_lemma14.json`: how runs are extracted from an existing report,
-//! how a new run is merged in, and how the result is written back without
-//! losing runs that landed while a benchmark was measuring.
+//! [`LEMMA14_SWEEPS`] is the one definition of the Lemma 14 scaling
+//! sweeps, iterated by both the `lemma14_scaling` criterion bench and
+//! `lemma14_report`. The [`report`] module owns the on-disk history
+//! discipline for `BENCH_lemma14.json`: how runs are extracted from an
+//! existing report, how a new run is merged in, and how the result is
+//! written back without losing runs that landed while a benchmark was
+//! measuring.
+
+use xmlta_hardness::workloads::{self, Workload};
+
+/// One Lemma 14 scaling sweep: a workload family swept over its params.
+pub struct Sweep {
+    /// The series (and criterion group) name.
+    pub name: &'static str,
+    pub family: fn(usize) -> Workload,
+    pub params: &'static [usize],
+}
+
+/// The Lemma 14 bound `O((|d_in| · |T|^{CK} · |d_out|^{CK})^α)`, swept
+/// per parameter.
+pub const LEMMA14_SWEEPS: [Sweep; 4] = [
+    // |d_in|: the filtering family's section depth.
+    Sweep {
+        name: "lemma14/din-size",
+        family: workloads::filtering_family,
+        params: &[2, 4, 8, 16, 32],
+    },
+    // The copying width C.
+    Sweep {
+        name: "lemma14/copying-width",
+        family: workloads::copying_family,
+        params: &[1, 2, 4, 8],
+    },
+    // The deletion path width K = 2^k.
+    Sweep {
+        name: "lemma14/deletion-path-width",
+        family: workloads::deletion_family,
+        params: &[1, 2, 3, 4],
+    },
+    // |d_out|: the regex alternation width.
+    Sweep {
+        name: "lemma14/dout-size",
+        family: workloads::regex_schema_family,
+        params: &[2, 4, 8, 16],
+    },
+];
 
 pub mod report {
     //! Append-only run history for `lemma14_report`-style reports.

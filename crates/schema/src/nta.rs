@@ -134,66 +134,6 @@ impl Nta {
             .iter()
             .any(|&q| self.is_final[q as usize])
     }
-
-    /// Computes an explicit accepting run (state per node, parent-first
-    /// pre-order), if one exists. Exponential-free: chooses states greedily
-    /// top-down against the bottom-up sets.
-    pub fn accepting_run(&self, t: &Tree) -> Option<Vec<u32>> {
-        // Bottom-up sets for every node, stored pre-order.
-        fn collect(
-            nta: &Nta,
-            t: &Tree,
-            out: &mut Vec<(usize, Vec<u32>)>, // (num children, set)
-        ) -> Vec<u32> {
-            let my_index = out.len();
-            out.push((t.children.len(), Vec::new()));
-            let sets: Vec<Vec<u32>> = t.children.iter().map(|c| collect(nta, c, out)).collect();
-            let mut states = Vec::new();
-            for q in 0..nta.num_states as u32 {
-                if let Some(nfa) = nta.delta.get(&(q, t.label)) {
-                    if nfa_accepts_set_sequence(nfa, &sets) {
-                        states.push(q);
-                    }
-                }
-            }
-            out[my_index].1 = states.clone();
-            states
-        }
-        let mut sets = Vec::new();
-        let root_states = collect(self, t, &mut sets);
-        let &root = root_states.iter().find(|&&q| self.is_final[q as usize])?;
-
-        // Top-down: assign states consistent with the chosen parent state.
-        let mut run = vec![u32::MAX; sets.len()];
-        run[0] = root;
-        // Recurse mirroring the pre-order layout.
-        fn assign(
-            nta: &Nta,
-            t: &Tree,
-            index: usize,
-            sets: &[(usize, Vec<u32>)],
-            run: &mut [u32],
-        ) -> Option<usize> {
-            let q = run[index];
-            // Child pre-order indices.
-            let mut child_idx = Vec::with_capacity(t.children.len());
-            let mut next = index + 1;
-            for c in &t.children {
-                child_idx.push(next);
-                next += c.num_nodes();
-            }
-            let child_sets: Vec<&Vec<u32>> = child_idx.iter().map(|&i| &sets[i].1).collect();
-            let nfa = nta.transition(q, t.label)?;
-            let word = choose_word(nfa, &child_sets)?;
-            for ((c, &i), &s) in t.children.iter().zip(&child_idx).zip(&word) {
-                run[i] = s;
-                assign(nta, c, i, sets, run)?;
-            }
-            Some(next)
-        }
-        assign(self, t, 0, &sets, &mut run)?;
-        Some(run)
-    }
 }
 
 /// Set-valued NFA simulation: does `nfa` accept some word `w₁…w_n` with
@@ -224,56 +164,6 @@ pub(crate) fn nfa_accepts_set_sequence(nfa: &Nfa, sets: &[Vec<u32>]) -> bool {
         cur = next;
     }
     (0..nfa.num_states() as u32).any(|q| cur[q as usize] && nfa.is_final_state(q))
-}
-
-/// Picks one accepted word with the i-th letter drawn from `sets[i]`.
-fn choose_word(nfa: &Nfa, sets: &[&Vec<u32>]) -> Option<Vec<u32>> {
-    // Forward set simulation remembering, per step, the reachable states.
-    let mut layers: Vec<Vec<bool>> = Vec::with_capacity(sets.len() + 1);
-    let mut cur = vec![false; nfa.num_states()];
-    for &q in nfa.initial_states() {
-        cur[q as usize] = true;
-    }
-    layers.push(cur.clone());
-    for set in sets {
-        let mut next = vec![false; nfa.num_states()];
-        for q in 0..nfa.num_states() as u32 {
-            if !cur[q as usize] {
-                continue;
-            }
-            for &(l, r) in nfa.transitions_from(q) {
-                if set.contains(&l) {
-                    next[r as usize] = true;
-                }
-            }
-        }
-        cur = next;
-        layers.push(cur.clone());
-    }
-    // Backward reconstruction from a final state.
-    let mut target = (0..nfa.num_states() as u32)
-        .find(|&q| layers[sets.len()][q as usize] && nfa.is_final_state(q))?;
-    let mut word = vec![0u32; sets.len()];
-    for i in (0..sets.len()).rev() {
-        let mut found = false;
-        'outer: for q in 0..nfa.num_states() as u32 {
-            if !layers[i][q as usize] {
-                continue;
-            }
-            for &(l, r) in nfa.transitions_from(q) {
-                if r == target && sets[i].contains(&l) {
-                    word[i] = l;
-                    target = q;
-                    found = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !found {
-            return None;
-        }
-    }
-    Some(word)
 }
 
 #[cfg(test)]
@@ -329,17 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn accepting_run_is_consistent() {
-        let (mut al, nta) = leaf_a_internal_b();
-        let t = parse_tree("b(a b(a) a)", &mut al).unwrap();
-        let run = nta.accepting_run(&t).expect("accepted");
-        // Pre-order: b(a b(a) a) → states [1, 0, 1, 0, 0]
-        assert_eq!(run, vec![1, 0, 1, 0, 0]);
-        let rejected = parse_tree("b", &mut al).unwrap();
-        assert!(nta.accepting_run(&rejected).is_none());
-    }
-
-    #[test]
     fn size_measure() {
         let (_, nta) = leaf_a_internal_b();
         assert!(nta.size() > nta.num_states() + nta.alphabet_size());
@@ -358,7 +237,5 @@ mod tests {
         let t = Tree::leaf(a.sym("a"));
         assert_eq!(nta.root_states(&t), vec![q0, q1]);
         assert!(nta.accepts(&t));
-        let run = nta.accepting_run(&t).unwrap();
-        assert_eq!(run, vec![q1]);
     }
 }

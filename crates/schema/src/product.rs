@@ -80,11 +80,11 @@ impl PairWitness {
         (self.nodes.last().expect("root node").state_a, self.root_b)
     }
 
-    /// Expands the DAG into its tree, together with `a`'s run on it (one
-    /// state per node, parent-first pre-order, like
-    /// [`Nta::accepting_run`]). `None` when the tree has more than
-    /// `node_cap` nodes; its size is computed first, so nothing is built
-    /// then.
+    /// Expands the DAG into its tree, together with `a`'s run on it: one
+    /// state per node in parent-first pre-order, such that at every node
+    /// `a.transition(run[i], label)` accepts the word of its children's
+    /// states. `None` when the tree has more than `node_cap` nodes; its
+    /// size is computed first, so nothing is built then.
     pub fn expand(&self, node_cap: usize) -> Option<(Tree, Vec<u32>)> {
         let mut size = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
@@ -520,11 +520,31 @@ mod tests {
         b
     }
 
+    /// Whether `run` (one state per node, parent-first pre-order) is a run
+    /// of `a` on `tree`: at every node, `a.transition(run[i], label)`
+    /// accepts the word of its children's states.
+    fn is_run(a: &Nta, tree: &Tree, run: &[u32]) -> bool {
+        /// Checks the subtree `t` whose root has pre-order index `at`;
+        /// returns the index just past the subtree.
+        fn walk(a: &Nta, t: &Tree, run: &[u32], at: usize) -> Option<usize> {
+            let mut next = at + 1;
+            let mut word = Vec::with_capacity(t.children.len());
+            for child in &t.children {
+                word.push(*run.get(next)?);
+                next = walk(a, child, run, next)?;
+            }
+            let nfa = a.transition(*run.get(at)?, t.label)?;
+            nfa.accepts(&word).then_some(next)
+        }
+        walk(a, tree, run, 0) == Some(run.len())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
         /// The on-the-fly search agrees with emptiness of the eager
-        /// product, and its witness is accepted by both automata.
+        /// product, its witness is accepted by both automata, and the run
+        /// it carries is a run of `a` on the witness.
         #[test]
         fn on_the_fly_emptiness_matches_the_product(seed in 0u64..1_000_000) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -545,6 +565,7 @@ mod tests {
                 prop_assert!(b.accepts(&tree), "seed {}: rejected by b", seed);
                 prop_assert_eq!(run.len(), tree.num_nodes());
                 prop_assert_eq!(run[0], root_a);
+                prop_assert!(is_run(&a, &tree, &run), "seed {}: not a run of a", seed);
             }
         }
     }

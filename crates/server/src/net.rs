@@ -451,7 +451,7 @@ fn accept_loop<F: Front>(
             // Shed: one structured frame naming the cap and a retry
             // hint, then close. Never block the accept loop on a slow
             // peer — the frame fits any socket buffer.
-            ServerCounters::bump(&front.counters().overload_sheds);
+            front.counters().overload_sheds.bump();
             let frame = crate::proto::overloaded_frame(config.max_conns, config.retry_after_ms);
             let _ = stream.write_all(frame.as_bytes());
             let _ = stream.write_all(b"\n");
@@ -463,7 +463,7 @@ fn accept_loop<F: Front>(
         let Ok(clone) = stream.try_clone() else {
             continue;
         };
-        ServerCounters::bump(&front.counters().conns_accepted);
+        front.counters().conns_accepted.bump();
         let id = ctx.next_id.fetch_add(1, Ordering::SeqCst);
         lock(&ctx.conns).insert(id, clone);
         let front = Arc::clone(front);

@@ -435,18 +435,18 @@ impl Session {
                     self.shared.registered(),
                     self.shared.evictions(),
                     self.handles.len(),
-                    ServerCounters::read(&c.conns_accepted),
-                    ServerCounters::read(&c.overload_sheds),
-                    ServerCounters::read(&c.deadline_sheds),
-                    ServerCounters::read(&c.read_timeouts),
+                    c.conns_accepted.get(),
+                    c.overload_sheds.get(),
+                    c.deadline_sheds.get(),
+                    c.read_timeouts.get(),
                     self.shared.uptime_ms(),
                     env!("CARGO_PKG_VERSION"),
                     self.version,
                     proto::PROTOCOL_VERSION,
                     proto::MAX_PROTOCOL_VERSION,
                     xmlta_obs::global().histograms_json(),
-                    ServerCounters::read(&c.update_reqs),
-                    ServerCounters::read(&c.components_reused),
+                    c.update_reqs.get(),
+                    c.components_reused.get(),
                 );
                 ResponseBuilder::new(&id, true)
                     .raw_field("stats", &stats)
@@ -571,7 +571,7 @@ impl Session {
     fn update(&mut self, id: &Json, handle: &str, edit: &Edit) -> String {
         let _span = xmlta_obs::span("update");
         let counters = self.shared.counters();
-        ServerCounters::bump(&counters.update_reqs);
+        counters.update_reqs.bump();
         let Some(old) = self.handles.get(handle).map(Arc::clone) else {
             return proto::error_frame(&Reject {
                 id: id.clone(),
@@ -704,7 +704,7 @@ fn run_job(shared: &Shared, job: Job) -> String {
     let _request_span = xmlta_obs::span("request");
     if let Some((expires, ms)) = job.deadline {
         if Instant::now() >= expires {
-            ServerCounters::bump(&shared.counters().deadline_sheds);
+            shared.counters().deadline_sheds.bump();
             return proto::error_frame(&proto::deadline_reject(job.id, ms));
         }
     }
@@ -899,7 +899,7 @@ fn timeout_ms(armed: Option<Duration>, e: &std::io::Error) -> Option<u64> {
 
 /// The `read-timeout` frame closing an idle connection, tallied.
 fn timed_out_frame(ms: u64, counters: &ServerCounters) -> String {
-    ServerCounters::bump(&counters.read_timeouts);
+    counters.read_timeouts.bump();
     proto::error_frame(&proto::read_timeout_reject(ms))
 }
 

@@ -133,12 +133,12 @@ struct Registry {
     evicted: u64,
 }
 
-/// Serving-robustness counters, surfaced through the `stats` op. Each is
-/// an [`xmlta_obs::Counter`] (a relaxed atomic): they are monotonic
-/// tallies for operators, never synchronization — bumping one costs a
-/// single uncontended atomic add and only happens on the *un*-happy paths
-/// (sheds, timeouts) or once per connection, so the per-request hot path
-/// never touches them.
+/// Serving counters, surfaced through the `stats` op. Each is an
+/// [`xmlta_obs::Counter`] (a relaxed atomic), bumped and read directly:
+/// they are monotonic tallies for operators, never synchronization. A
+/// bump costs one uncontended atomic add. The robustness counters move
+/// only on the *un*-happy paths (sheds, timeouts) or once per connection;
+/// `update_reqs` and `components_reused` move on every `update` request.
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     /// Connections the accept loops handed to a session worker.
@@ -162,12 +162,9 @@ pub struct ServerCounters {
 }
 
 impl ServerCounters {
-    /// Bumps a counter (relaxed; tallies only).
-    pub fn bump(counter: &Counter) {
-        counter.bump();
-    }
-
-    /// Reads a counter (relaxed; tallies only).
+    /// Reads a counter (relaxed; tallies only). The server itself calls
+    /// [`Counter::get`]; this is the accessor `tests/chaos.rs` reads the
+    /// counters through.
     pub fn read(counter: &Counter) -> u64 {
         counter.get()
     }

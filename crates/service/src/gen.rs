@@ -174,41 +174,6 @@ fn fleet_instance(
     instance
 }
 
-/// A compile-dominated instance for the persistent-store benchmarks: a
-/// tiny live part (`r -> x*`, identity transducer, matching output) under
-/// `rules` ballast rules, each a `width`-way alternation-star regex over a
-/// shared symbol pool, permuted per rule by `seed`. The Glushkov + subset
-/// construction over those alternations dominates a cold check, while the
-/// compiled DFAs stay one state each — so adopting the baked schema from a
-/// store skips nearly all the work, which is exactly the gap the
-/// `service/server-cold-store` series measures. Every `seed` yields a
-/// structurally distinct schema (distinct fingerprint, own store entry).
-pub fn ballast_source(rules: usize, width: usize, seed: u64) -> Result<String, PrintError> {
-    use rand::Rng;
-    use xmlta_transducer::TransducerBuilder;
-    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xBA11);
-    let mut text = String::from("r -> x*\nx -> eps\n");
-    let mut pool: Vec<String> = (0..width).map(|i| format!("k{i}")).collect();
-    for j in 0..rules {
-        // Fisher–Yates with the seeded shim RNG: the permutation (and so
-        // the regex AST and its fingerprint) is unique per (seed, rule).
-        for i in (1..pool.len()).rev() {
-            pool.swap(i, rng.gen_range(0..=i));
-        }
-        text.push_str(&format!("b{j} -> ({})*\n", pool.join("|")));
-    }
-    let mut a = Alphabet::new();
-    let din = Dtd::parse(&text, &mut a).expect("ballast DTD prints parseably");
-    let t = TransducerBuilder::new(&mut a)
-        .states(&["root", "q"])
-        .rule("root", "r", "r(q)")
-        .rule("q", "x", "x")
-        .build()
-        .expect("ballast transducer");
-    let dout = Dtd::parse("r -> x*\nx -> eps", &mut a).expect("ballast out DTD");
-    print_instance(&Instance::dtds(a, din, dout, t))
-}
-
 /// A mixed batch of `count` instances drawn from `groups` schema groups.
 ///
 /// Groups rotate through three shapes — filtering (depth grows with the
@@ -248,32 +213,6 @@ mod tests {
     use super::*;
     use crate::batch::{run_batch, BatchItem, ItemStatus};
     use crate::cache::SchemaCache;
-
-    #[test]
-    fn ballast_sources_are_deterministic_distinct_and_typecheck() {
-        let a = ballast_source(6, 12, 3).unwrap();
-        assert_eq!(a, ballast_source(6, 12, 3).unwrap());
-        assert_ne!(a, ballast_source(6, 12, 4).unwrap(), "seeds must differ");
-        let items: Vec<BatchItem> = (0..4u64)
-            .map(|v| {
-                BatchItem::from_source(format!("ballast-{v}"), ballast_source(6, 12, v).unwrap())
-            })
-            .collect();
-        let out = run_batch(&items, 1, None);
-        assert_eq!(out.tally(), (4, 0, 0), "{:?}", out.results);
-        // Distinct seeds mean distinct input-schema fingerprints: a
-        // shared cache compiles each one (the tiny output DTD is the only
-        // cross-instance hit).
-        let cache = SchemaCache::new();
-        let out = run_batch(&items, 1, Some(&cache));
-        assert_eq!(out.tally(), (4, 0, 0));
-        assert_eq!(
-            cache.stats().schema_misses,
-            4 + 1,
-            "each ballast input schema compiles on its own: {:?}",
-            cache.stats()
-        );
-    }
 
     #[test]
     fn mixed_sources_are_deterministic_and_checkable() {

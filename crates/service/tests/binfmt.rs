@@ -224,6 +224,24 @@ fn binary_batch_reports_match_text_batch_reports() {
         text_report, bin_report,
         "front-end must not change verdicts"
     );
+    // The `xmlta convert --compile` artifact: DFA rules baked in.
+    let compiled_items: Vec<BatchItem> = sources
+        .iter()
+        .map(|(n, s)| {
+            let mut instance = parse_instance(s).expect("parses");
+            for schema in [&mut instance.input, &mut instance.output] {
+                if let Schema::Dtd(d) = schema {
+                    *d = d.compile_to_dfas();
+                }
+            }
+            BatchItem::from_binary(n.clone(), encode_instance(&instance).expect("encodes"))
+        })
+        .collect();
+    assert_eq!(
+        text_report,
+        run_batch(&compiled_items, 2, None).to_json(),
+        "baked DFA rules must not change verdicts"
+    );
 }
 
 #[test]
