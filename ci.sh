@@ -24,6 +24,9 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== cargo doc (deny rustdoc warnings, e.g. dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== xmlta CLI smoke (gen + typecheck + batch + report)"
 smoke="$(mktemp -d)"
 daemon=""

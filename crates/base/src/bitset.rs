@@ -13,7 +13,7 @@
 //! Invariant: a `BitSet` never stores trailing all-zero blocks beyond
 //! `blocks.len()` (it may store *interior* zero blocks). Two sets with the
 //! same elements can still differ in block length if one was built with a
-//! larger universe hint, so [`BitSet::normalize`] trims trailing zeros —
+//! larger universe hint, so `BitSet::normalize` trims trailing zeros —
 //! every mutating operation that can *clear* bits calls it, and the
 //! `PartialEq`/`Hash` impls therefore compare representations directly.
 

@@ -58,12 +58,7 @@ pub fn almost_always_typechecks(
     t: &Transducer,
     alphabet_size: usize,
 ) -> Result<AlmostAlways, TypecheckError> {
-    let t = if t.uses_selectors() {
-        xmlta_transducer::translate::expand_selectors_with_alphabet(t, alphabet_size)
-            .map_err(|e| TypecheckError::Selector(e.to_string()))?
-    } else {
-        t.clone()
-    };
+    let t = crate::plain_transducer(t, alphabet_size)?;
     let mut engine = Lemma14Engine::new(din, dout, &t, alphabet_size)?;
     engine.run_fixpoint()?;
     engine.compute_reachable();

@@ -121,8 +121,8 @@ pub struct Lemma14Engine {
 ///
 /// The witness word itself is *not* stored: it is only needed when a
 /// counterexample context is actually built, so
-/// [`Lemma14Engine::build_counterexample`] re-derives it lazily with
-/// [`Lemma14Engine::word_with_child`].
+/// `Lemma14Engine::build_counterexample` re-derives it lazily with
+/// `Lemma14Engine::word_with_child`.
 #[derive(Debug, Clone)]
 pub struct ReachStep {
     pub(crate) parent: (StateId, usize),

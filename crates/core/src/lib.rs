@@ -32,7 +32,8 @@ pub mod replus;
 pub use instance::{Instance, Schema};
 pub use lemma14::typecheck_dtds;
 
-use xmlta_transducer::translate;
+use std::borrow::Cow;
+use xmlta_transducer::{translate, Transducer};
 
 /// The outcome of a typechecking run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,33 +93,59 @@ impl std::fmt::Display for TypecheckError {
 
 impl std::error::Error for TypecheckError {}
 
-/// Typechecks an instance, dispatching to the appropriate engine:
+/// Typechecks an instance, dispatching to the appropriate engine
+/// ([`typecheck_parts`]).
+pub fn typecheck(instance: &Instance) -> Result<Outcome, TypecheckError> {
+    typecheck_parts(
+        &instance.input,
+        &instance.output,
+        &instance.transducer,
+        instance.alphabet_size(),
+    )
+}
+
+/// `transducer` with its selectors translated away (Theorems 23 / 29);
+/// borrowed as-is when it has none.
+pub fn plain_transducer(
+    transducer: &Transducer,
+    alphabet_size: usize,
+) -> Result<Cow<'_, Transducer>, TypecheckError> {
+    if !transducer.uses_selectors() {
+        return Ok(Cow::Borrowed(transducer));
+    }
+    translate::expand_selectors_with_alphabet(transducer, alphabet_size)
+        .map(Cow::Owned)
+        .map_err(|e| TypecheckError::Selector(e.to_string()))
+}
+
+/// Typechecks `(input, output, transducer)` over a joint alphabet of
+/// `alphabet_size` symbols, dispatching to the appropriate engine:
 ///
 /// 1. transducers with selectors are first translated to plain transducers
-///    (Theorems 23 / 29);
+///    ([`plain_transducer`]);
 /// 2. `DTD(RE+)` schemas on both sides route to the Section 5 engine;
 /// 3. other DTD schemas route to the Lemma 14 engine (non-DFA rule
 ///    representations are determinized first — the exponential worst case
 ///    this hides is exactly the paper's PSPACE lower bound for `DTD(NFA)`);
 /// 4. tree-automata schemas route to the Theorem 20 engine and require a
 ///    deleting relabeling.
-pub fn typecheck(instance: &Instance) -> Result<Outcome, TypecheckError> {
-    let transducer = if instance.transducer.uses_selectors() {
-        translate::expand_selectors_with_alphabet(&instance.transducer, instance.alphabet_size())
-            .map_err(|e| TypecheckError::Selector(e.to_string()))?
-    } else {
-        instance.transducer.clone()
-    };
-    match (&instance.input, &instance.output) {
+pub fn typecheck_parts(
+    input: &Schema,
+    output: &Schema,
+    transducer: &Transducer,
+    alphabet_size: usize,
+) -> Result<Outcome, TypecheckError> {
+    let transducer = plain_transducer(transducer, alphabet_size)?;
+    match (input, output) {
         (Schema::Dtd(din), Schema::Dtd(dout)) => {
             if din.is_replus_dtd() && dout.is_replus_dtd() {
-                replus::typecheck_replus(din, dout, &transducer, instance.alphabet_size())
+                replus::typecheck_replus(din, dout, &transducer, alphabet_size)
             } else {
-                lemma14::typecheck_dtds(din, dout, &transducer, instance.alphabet_size())
+                lemma14::typecheck_dtds(din, dout, &transducer, alphabet_size)
             }
         }
         (Schema::Nta(ain), Schema::Nta(aout)) => {
-            delrelab::typecheck_delrelab(ain, aout, &transducer, instance.alphabet_size())
+            delrelab::typecheck_delrelab(ain, aout, &transducer, alphabet_size)
         }
         _ => Err(TypecheckError::Unsupported(
             "mixed DTD/tree-automaton schemas: convert the DTD side with \

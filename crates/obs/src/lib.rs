@@ -4,13 +4,14 @@
 //!
 //! - **Metrics primitives**: [`Counter`] (a relaxed atomic) and
 //!   [`Histogram`] (64 log2 buckets with lock-free record and
-//!   p50/p90/p99/max readout). These are the building blocks the
-//!   server's `ServerCounters` and the cache's mirror counters wrap.
-//! - **A process-wide [`Registry`]**: named counters and histograms
-//!   with get-or-create lookup ([`counter`]/[`histogram`] on the
-//!   [`global`] registry). Handles are `Arc`s, so the record path after
-//!   lookup is lock-free; readout renders a deterministic
-//!   (name-sorted) JSON object.
+//!   p50/p90/p99/max readout). A counter lives with the state it
+//!   counts (the server's `ServerCounters`, the router's
+//!   `RouterCounters`) and is read by the `stats` op; there is no
+//!   process-wide counter mirror.
+//! - **A process-wide [`Registry`]**: named histograms with
+//!   get-or-create lookup ([`histogram`] on the [`global`] registry).
+//!   Handles are `Arc`s, so the record path after lookup is lock-free;
+//!   readout renders a deterministic (name-sorted) JSON object.
 //! - **Trace spans**: [`span`] opens a named span tied to the current
 //!   request context ([`set_ctx`] / [`adopt_ctx`]); closing it emits a
 //!   balanced enter/exit pair of JSONL trace events to the process
@@ -48,7 +49,7 @@ use std::time::Instant;
 // ---------------------------------------------------------------------
 // Counters.
 
-/// A named metric counter: a relaxed atomic u64.
+/// A metric counter: a relaxed atomic u64.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -182,26 +183,17 @@ impl HistSnapshot {
 // ---------------------------------------------------------------------
 // The registry.
 
-/// A named-metric registry: get-or-create lookup returns shared handles
-/// so hot paths pay the map lookup once and record lock-free after.
+/// A named-histogram registry: get-or-create lookup returns shared
+/// handles so hot paths pay the map lookup once and record lock-free
+/// after.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Registry {
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().expect("registry lock").get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.counters.write().expect("registry lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The histogram named `name`, created on first use.
@@ -211,21 +203,6 @@ impl Registry {
         }
         let mut map = self.histograms.write().expect("registry lock");
         Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
-    /// All counters as a name-sorted JSON object (`{"a":1,"b":2}`).
-    pub fn counters_json(&self) -> String {
-        let map = self.counters.read().expect("registry lock");
-        let mut out = String::from("{");
-        for (i, (name, c)) in map.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            use std::fmt::Write as _;
-            let _ = write!(out, "\"{name}\":{}", c.get());
-        }
-        out.push('}');
-        out
     }
 
     /// All histograms as a name-sorted JSON object of snapshot objects.
@@ -249,11 +226,6 @@ impl Registry {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Shorthand: a counter in the [`global`] registry.
-pub fn counter(name: &str) -> Arc<Counter> {
-    global().counter(name)
 }
 
 /// Shorthand: a histogram in the [`global`] registry.
@@ -522,26 +494,22 @@ mod tests {
     #[test]
     fn registry_get_or_create_returns_the_same_handle() {
         let r = Registry::new();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        a.bump();
-        b.add(2);
-        assert_eq!(r.counter("x").get(), 3);
+        let a = r.histogram("h");
+        let b = r.histogram("h");
+        a.record(7);
+        b.record(9);
         assert!(Arc::ptr_eq(&a, &b));
-        let h = r.histogram("h");
-        h.record(7);
-        assert_eq!(r.histogram("h").snapshot().count, 1);
+        assert_eq!(r.histogram("h").snapshot().count, 2);
     }
 
     #[test]
     fn registry_json_is_name_sorted() {
         let r = Registry::new();
-        r.counter("zeta").add(2);
-        r.counter("alpha").add(1);
-        assert_eq!(r.counters_json(), "{\"alpha\":1,\"zeta\":2}");
+        r.histogram("zeta").record(2);
         r.histogram("m").record(3);
         let json = r.histograms_json();
         assert!(json.starts_with("{\"m\":{\"count\":1,"), "{json}");
+        assert!(json.contains("},\"zeta\":{\"count\":1,"), "{json}");
     }
 
     #[test]

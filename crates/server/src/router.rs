@@ -50,6 +50,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use xmlta_obs::Counter;
 use xmlta_service::{parse_json, Json};
 
 /// Virtual nodes per shard on the hash ring: enough that key spread
@@ -328,44 +329,28 @@ impl Default for RouterConfig {
     }
 }
 
-/// Fleet-level counters surfaced through the router's `stats` reply
-/// (and mirrored into the global observability registry).
+/// Fleet-level counters surfaced through the router's `stats` reply.
 #[derive(Debug, Default)]
 pub struct RouterCounters {
-    shard_respawns: AtomicU64,
-    breaker_opens: AtomicU64,
-    failovers: AtomicU64,
+    shard_respawns: Counter,
+    breaker_opens: Counter,
+    failovers: Counter,
 }
 
 impl RouterCounters {
     /// Crashed shards respawned by the supervisor.
     pub fn shard_respawns(&self) -> u64 {
-        self.shard_respawns.load(Ordering::Relaxed)
+        self.shard_respawns.get()
     }
 
     /// Times any shard's breaker (re)opened.
     pub fn breaker_opens(&self) -> u64 {
-        self.breaker_opens.load(Ordering::Relaxed)
+        self.breaker_opens.get()
     }
 
     /// Requests served by a non-home shard after failover.
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    fn bump_respawns(&self) {
-        self.shard_respawns.fetch_add(1, Ordering::Relaxed);
-        xmlta_obs::counter("router_shard_respawns").bump();
-    }
-
-    fn bump_breaker_opens(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        xmlta_obs::counter("router_breaker_opens").bump();
-    }
-
-    fn bump_failovers(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-        xmlta_obs::counter("router_failovers").bump();
+        self.failovers.get()
     }
 }
 
@@ -641,7 +626,7 @@ impl Router {
                     }
                 };
                 if needs_respawn && !self.is_shutdown() {
-                    self.counters.bump_respawns();
+                    self.counters.shard_respawns.bump();
                     if !self.cfg.quiet {
                         eprintln!("xmlta router: shard {shard} exited; respawning");
                     }
@@ -694,7 +679,7 @@ impl Router {
 
     fn note_failure(&self, shard: usize) {
         if lock(&self.breakers[shard]).note_failure(Instant::now()) {
-            self.counters.bump_breaker_opens();
+            self.counters.breaker_opens.bump();
         }
     }
 
@@ -860,7 +845,7 @@ impl Relay {
                 Ok(reply) => {
                     self.router.note_ok(shard);
                     if shard != home {
-                        self.router.counters.bump_failovers();
+                        self.router.counters.failovers.bump();
                     }
                     return Ok(reply);
                 }

@@ -26,7 +26,7 @@
 //!   clamped) and dispatched to a per-connection **worker pool**. At most
 //!   `pipeline` (the negotiated depth) jobs are in flight; the reader
 //!   blocks admission beyond that — backpressure by not reading;
-//! * a single **writer** drains a batched outbox ([`Outbox`]), writing
+//! * a single **writer** drains a batched outbox (`Outbox`), writing
 //!   responses in completion order with one `write` + one flush per
 //!   batch — thousands of memo-hit responses coalesce into a handful of
 //!   syscalls.

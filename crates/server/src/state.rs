@@ -161,15 +161,6 @@ pub struct ServerCounters {
     pub components_reused: Counter,
 }
 
-impl ServerCounters {
-    /// Reads a counter (relaxed; tallies only). The server itself calls
-    /// [`Counter::get`]; this is the accessor `tests/chaos.rs` reads the
-    /// counters through.
-    pub fn read(counter: &Counter) -> u64 {
-        counter.get()
-    }
-}
-
 /// The state shared by all connections of one server process.
 pub struct Shared {
     cache: SchemaCache,

@@ -29,7 +29,7 @@ use std::time::Duration;
 use support::TempPath;
 use xmlta_server::fault::{FaultProxy, Schedule};
 use xmlta_server::proto;
-use xmlta_server::state::{handle_for_source, ServerCounters};
+use xmlta_server::state::handle_for_source;
 use xmlta_server::{Bound, Client, ResilientClient, RetryPolicy, ServerAddr, ServerConfig, Shared};
 use xmlta_service::gen;
 
@@ -176,12 +176,12 @@ fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
         "seed {seed}: store corruption without a store fault"
     );
     assert_eq!(
-        ServerCounters::read(&c.overload_sheds),
+        c.overload_sheds.get(),
         0,
         "seed {seed}: overload sheds without an overload schedule"
     );
     assert_eq!(
-        ServerCounters::read(&c.deadline_sheds),
+        c.deadline_sheds.get(),
         0,
         "seed {seed}: deadline sheds under generous deadlines"
     );
@@ -211,7 +211,7 @@ fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
     ] {
         assert_eq!(
             field(key),
-            ServerCounters::read(counter),
+            counter.get(),
             "seed {seed}: `stats` disagrees with shared state on {key}"
         );
     }
@@ -219,7 +219,7 @@ fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
     let observed = (
         chaotic.reconnects(),
         chaotic.replayed(),
-        ServerCounters::read(&c.read_timeouts),
+        c.read_timeouts.get(),
     );
     let response = admin
         .roundtrip(&proto::req_shutdown(9999))

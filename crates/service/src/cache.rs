@@ -17,11 +17,13 @@
 //!   `#`-eliminated complement, quadratic to build) is cached per
 //!   `(schema, joint alphabet)` key, `DTAc` validation verdict included.
 //!
-//! Keys are 64-bit Fx fingerprints of the full structure (content hashes —
-//! all rule tables, finals, AST shapes — not names), so equal content hits
-//! regardless of which parse produced it. The cache is shared across the
-//! batch driver's workers behind a mutex; compilation runs outside the
-//! lock, so a racing miss can compile twice but never corrupts the cache.
+//! Keys pair the alphabet size with a 64-bit Fx fingerprint of the full
+//! structure (content hashes — all rule tables, finals, AST shapes — not
+//! names), so equal content hits regardless of which parse produced it.
+//! The three levels are three tables run by one protocol
+//! (`SchemaCache::product`): each hit verifies its source structurally, a
+//! miss builds outside the lock with the mounted [`ArtifactBackend`] read
+//! through and written behind, and a collided slot is served uncached.
 //!
 //! On top of the compiled products sits the **typecheck result memo**
 //! ([`SchemaCache::memo_lookup`]): whole verdicts keyed by
@@ -37,13 +39,14 @@ use crate::artifact::{self, Artifact, ArtifactKind};
 use crate::batch::ItemStatus;
 use crate::lru::Lru;
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::Entry;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use typecheck_core::{delrelab, Instance, Outcome, Schema, TypecheckError};
 use xmlta_automata::{Dfa, Nfa, Regex};
 use xmlta_base::fxhash::FxHasher;
 use xmlta_base::FxHashMap;
 use xmlta_schema::{Dtd, Nta, StringLang};
-use xmlta_transducer::{translate, Rhs, RhsNode, Selector, Transducer};
+use xmlta_transducer::{Rhs, RhsNode, Selector, Transducer};
 use xmlta_xpath::{Axis, Expr, Pattern};
 
 use std::hash::Hasher;
@@ -107,51 +110,108 @@ pub trait ArtifactBackend: Send + Sync {
 /// determinism/completeness checks.
 type BoutEntry = Result<Arc<Nta>, TypecheckError>;
 
-/// A cache entry keeps the *source* object alongside the compiled one:
-/// lookups verify structural equality of the source on every fingerprint
-/// hit, so a 64-bit hash collision degrades to an uncached compile instead
-/// of silently serving another schema's automata.
+/// One compiled-product table. A slot keyed `(fingerprint, sigma)` keeps
+/// the *source* alongside its product: every fingerprint hit verifies the
+/// source structurally, so a 64-bit collision degrades to an uncached
+/// build instead of silently serving another source's product.
+struct Table<S, P> {
+    slots: FxHashMap<(u64, usize), (S, P)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<S, P> Default for Table<S, P> {
+    fn default() -> Self {
+        Table {
+            slots: FxHashMap::default(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+/// What distinguishes one product table from another in
+/// [`SchemaCache::product`]: where the table lives, how sources compare,
+/// and how a product travels through the store.
+struct Kind<S, P> {
+    table: fn(&mut Inner) -> &mut Table<S, P>,
+    same: fn(&S, &S) -> bool,
+    artifact: ArtifactKind,
+    /// The span a miss runs under.
+    span: &'static str,
+    /// Splits a decoded store artifact into `(sigma, source, product)`;
+    /// `None` for an artifact of another kind.
+    restore: fn(Artifact) -> Option<(usize, S, P)>,
+    /// The store encoding of a fresh product, or `None` to keep it
+    /// memory-only.
+    encode: fn(&S, usize, &P) -> Option<Vec<u8>>,
+}
+
+const SCHEMAS: Kind<Dtd, Arc<Dtd>> = Kind {
+    table: |inner| &mut inner.schemas,
+    same: dtd_eq,
+    artifact: ArtifactKind::Schema,
+    span: "compile",
+    restore: |artifact| match artifact {
+        Artifact::Schema { source, compiled } => {
+            Some((source.alphabet_size(), source, Arc::new(compiled)))
+        }
+        _ => None,
+    },
+    encode: |dtd, _, compiled| artifact::encode_schema(dtd, compiled).ok(),
+};
+
+const RULES: Kind<StringLang, Arc<Dfa>> = Kind {
+    table: |inner| &mut inner.rules,
+    same: lang_eq,
+    artifact: ArtifactKind::Rule,
+    span: "compile",
+    restore: |artifact| match artifact {
+        Artifact::Rule {
+            sigma,
+            source,
+            compiled,
+        } => Some((sigma, source, Arc::new(compiled))),
+        _ => None,
+    },
+    encode: |lang, sigma, dfa| Some(artifact::encode_rule(sigma, lang, dfa)),
+};
+
+const BOUTS: Kind<Nta, BoutEntry> = Kind {
+    table: |inner| &mut inner.bouts,
+    same: nta_eq,
+    artifact: ArtifactKind::Bout,
+    span: "delrelab",
+    restore: |artifact| match artifact {
+        Artifact::Bout {
+            sigma,
+            source,
+            product,
+        } => Some((sigma, source, Ok(Arc::new(product)))),
+        _ => None,
+    },
+    // Only `Ok` products are persisted: a `DTAc` validation *failure* is
+    // a verdict, not a compiled artifact, and stays memory-only.
+    encode: |aout, sigma, built| {
+        let product = built.as_ref().ok()?;
+        Some(artifact::encode_bout(sigma, aout, product))
+    },
+};
+
 struct Inner {
-    schemas: FxHashMap<u64, (Dtd, Arc<Dtd>)>,
-    rules: FxHashMap<(u64, usize), (StringLang, Arc<Dfa>)>,
-    /// Theorem 20 pipeline products per output NTA, keyed by
-    /// `(fingerprint, joint alphabet size)`.
-    bouts: FxHashMap<(u64, usize), (Nta, BoutEntry)>,
+    schemas: Table<Dtd, Arc<Dtd>>,
+    rules: Table<StringLang, Arc<Dfa>>,
+    /// Theorem 20 pipeline products per output NTA at a joint alphabet
+    /// size.
+    bouts: Table<Nta, BoutEntry>,
     /// The typecheck result memo: whole-instance fingerprint → the
     /// instance (hit verification, retained by `Arc` — never deep-cloned)
     /// and its rendered verdict. Bounded LRU; see
     /// [`SchemaCache::memo_lookup`].
     memo: Lru<u64, (Arc<Instance>, ItemStatus)>,
-    stats: CacheStats,
-}
-
-/// Shared handles into the process-wide metrics registry mirroring the
-/// memo and store counters (the per-cache [`CacheStats`] snapshot stays
-/// authoritative for one cache; the registry aggregates across every
-/// cache in the process, which is what `stats v2` and offline tooling
-/// read). Handles are resolved once per cache so bumps are lock-free.
-struct MirrorCounters {
-    memo_hits: Arc<xmlta_obs::Counter>,
-    memo_misses: Arc<xmlta_obs::Counter>,
-    memo_evictions: Arc<xmlta_obs::Counter>,
-    store_hits: Arc<xmlta_obs::Counter>,
-    store_misses: Arc<xmlta_obs::Counter>,
-    store_writes: Arc<xmlta_obs::Counter>,
-    store_corrupt: Arc<xmlta_obs::Counter>,
-}
-
-impl MirrorCounters {
-    fn new() -> MirrorCounters {
-        MirrorCounters {
-            memo_hits: xmlta_obs::counter("memo.hits"),
-            memo_misses: xmlta_obs::counter("memo.misses"),
-            memo_evictions: xmlta_obs::counter("memo.evictions"),
-            store_hits: xmlta_obs::counter("store.hits"),
-            store_misses: xmlta_obs::counter("store.misses"),
-            store_writes: xmlta_obs::counter("store.writes"),
-            store_corrupt: xmlta_obs::counter("store.corrupt"),
-        }
-    }
+    /// The memo and store tallies. Its product-table fields stay 0: each
+    /// [`Table`] counts its own hits and misses.
+    tallies: CacheStats,
 }
 
 /// A thread-safe compiled-schema cache. See the module docs.
@@ -161,8 +221,6 @@ pub struct SchemaCache {
     /// compile misses, written behind fresh compiles. All store I/O runs
     /// outside the cache mutex.
     store: Option<Arc<dyn ArtifactBackend>>,
-    /// Process-wide mirrors of the memo/store counters.
-    mirror: MirrorCounters,
 }
 
 impl Default for SchemaCache {
@@ -182,14 +240,13 @@ impl SchemaCache {
     pub fn with_memo_capacity(capacity: usize) -> SchemaCache {
         SchemaCache {
             inner: Mutex::new(Inner {
-                schemas: FxHashMap::default(),
-                rules: FxHashMap::default(),
-                bouts: FxHashMap::default(),
+                schemas: Table::default(),
+                rules: Table::default(),
+                bouts: Table::default(),
                 memo: Lru::new(capacity),
-                stats: CacheStats::default(),
+                tallies: CacheStats::default(),
             }),
             store: None,
-            mirror: MirrorCounters::new(),
         }
     }
 
@@ -201,64 +258,97 @@ impl SchemaCache {
         self.store = Some(store);
     }
 
-    /// Whether a persistent store is mounted.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Bumps stats under the lock (used by store paths, which do their
-    /// I/O and decoding outside it).
-    fn bump(&self, f: impl FnOnce(&mut CacheStats)) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(&mut inner.stats);
-    }
-
-    /// Read-through: fetches `(kind, key, sigma)` from the store, decodes
-    /// it, and hands the artifact to `adopt` for verification against the
-    /// query (exactly like an in-memory hit verifies its source). Returns
-    /// the adopted product or `None` (absent → `store_misses`; present
-    /// but undecodable/unverifiable → `store_corrupt`, fall back to
-    /// recompilation).
-    fn store_load<T>(
+    /// The product for `source` from `kind`'s table under `key` =
+    /// `(fingerprint, sigma)`, built by `build` at most once per distinct
+    /// source:
+    ///
+    /// 1. a slot whose occupant is structurally equal to `source` is a hit;
+    /// 2. anything else is a miss, run under `kind.span`. A slot owned by
+    ///    a *different* source (a 64-bit collision, ~2^-64 per pair) is
+    ///    served a fresh build, uncached and never sent to the store —
+    ///    correctness must not depend on fingerprints being unique;
+    /// 3. otherwise the store is read through, adopting an artifact only
+    ///    if its sigma and source verify against the query;
+    /// 4. failing that, `build` runs and its product is written behind;
+    /// 5. the product is published with the slot re-verified: a racing
+    ///    build of a colliding source may have claimed it meanwhile.
+    ///
+    /// `build` and all store I/O run outside the lock, so a racing miss
+    /// can build twice but never corrupts the cache.
+    fn product<S: Clone, P: Clone>(
         &self,
-        kind: ArtifactKind,
-        key: u64,
-        sigma: usize,
-        adopt: impl FnOnce(Artifact) -> Option<T>,
-    ) -> Option<T> {
+        kind: &Kind<S, P>,
+        key: (u64, usize),
+        source: &S,
+        build: impl FnOnce() -> P,
+    ) -> P {
+        let collided = {
+            let mut inner = self.lock();
+            let table = (kind.table)(&mut inner);
+            match table.slots.get(&key) {
+                Some((occupant, hit)) if (kind.same)(occupant, source) => {
+                    let hit = hit.clone();
+                    table.hits += 1;
+                    return hit;
+                }
+                slot => {
+                    table.misses += 1;
+                    slot.is_some()
+                }
+            }
+        };
+        let _span = xmlta_obs::span(kind.span);
+        if collided {
+            return build();
+        }
+        let product = match self.store_load(kind, key, source) {
+            Some(product) => product,
+            None => {
+                let product = build();
+                if let Some(store) = &self.store {
+                    if let Some(bytes) = (kind.encode)(source, key.1, &product) {
+                        let _span = xmlta_obs::span("store");
+                        if store.save(kind.artifact, key.0, key.1, &bytes) {
+                            self.lock().tallies.store_writes += 1;
+                        }
+                    }
+                }
+                product
+            }
+        };
+        let mut inner = self.lock();
+        match (kind.table)(&mut inner).slots.entry(key) {
+            Entry::Occupied(e) if !(kind.same)(&e.get().0, source) => product,
+            slot => slot.or_insert((source.clone(), product)).1.clone(),
+        }
+    }
+
+    /// Read-through: the store's artifact for `key`, decoded and verified
+    /// against the query exactly like an in-memory hit verifies its
+    /// source. Absent → `store_misses`; present but undecodable or
+    /// unverifiable → `store_corrupt` (never fatal: the caller rebuilds).
+    fn store_load<S, P>(&self, kind: &Kind<S, P>, key: (u64, usize), source: &S) -> Option<P> {
         let store = self.store.as_ref()?;
         let _span = xmlta_obs::span("store");
-        let Some(bytes) = store.load(kind, key, sigma) else {
-            self.bump(|s| s.store_misses += 1);
-            self.mirror.store_misses.bump();
+        let Some(bytes) = store.load(kind.artifact, key.0, key.1) else {
+            self.lock().tallies.store_misses += 1;
             return None;
         };
-        match artifact::decode(&bytes).ok().and_then(adopt) {
-            Some(product) => {
-                self.bump(|s| s.store_hits += 1);
-                self.mirror.store_hits.bump();
-                Some(product)
-            }
-            None => {
-                self.bump(|s| s.store_corrupt += 1);
-                self.mirror.store_corrupt.bump();
-                None
-            }
+        let product = artifact::decode(&bytes)
+            .ok()
+            .and_then(kind.restore)
+            .filter(|(sigma, stored, _)| *sigma == key.1 && (kind.same)(stored, source))
+            .map(|(_, _, product)| product);
+        let mut inner = self.lock();
+        match product {
+            Some(_) => inner.tallies.store_hits += 1,
+            None => inner.tallies.store_corrupt += 1,
         }
-    }
-
-    /// Write-behind: persists an encoded artifact after a fresh compile.
-    fn store_save(&self, kind: ArtifactKind, key: u64, sigma: usize, bytes: &[u8]) {
-        if let Some(store) = &self.store {
-            let _span = xmlta_obs::span("store");
-            if store.save(kind, key, sigma, bytes) {
-                self.bump(|s| s.store_writes += 1);
-                self.mirror.store_writes.bump();
-            }
-        }
+        product
     }
 
     /// Looks up the memoized verdict for an instance with content
@@ -269,20 +359,15 @@ impl SchemaCache {
     /// registered-handle case), or else structurally equal. A colliding
     /// fingerprint counts as a miss, never as a wrong answer.
     pub fn memo_lookup(&self, fp: u64, instance: &Instance) -> Option<ItemStatus> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         match inner.memo.get(&fp) {
             Some((source, status)) if same_instance(source, instance) => {
                 let status = status.clone();
-                inner.stats.memo_hits += 1;
-                self.mirror.memo_hits.bump();
+                inner.tallies.memo_hits += 1;
                 Some(status)
             }
             _ => {
-                inner.stats.memo_misses += 1;
-                self.mirror.memo_misses.bump();
+                inner.tallies.memo_misses += 1;
                 None
             }
         }
@@ -292,10 +377,7 @@ impl SchemaCache {
     /// already owned by a *different* instance (64-bit collision) is left
     /// alone — correctness never depends on fingerprints being unique.
     pub fn memo_insert(&self, fp: u64, instance: &Arc<Instance>, status: &ItemStatus) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         if let Some((source, _)) = inner.memo.get(&fp) {
             if !same_instance(source, instance) {
                 return;
@@ -306,156 +388,41 @@ impl SchemaCache {
             .insert(fp, (Arc::clone(instance), status.clone()))
             .is_some()
         {
-            inner.stats.memo_evictions += 1;
-            self.mirror.memo_evictions.bump();
+            inner.tallies.memo_evictions += 1;
         }
     }
 
     /// `(live entries, capacity)` of the result memo.
     pub fn memo_len(&self) -> (usize, usize) {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         (inner.memo.len(), inner.memo.capacity())
     }
 
     /// Compiles `dtd` to `DTD(DFA)` form with `Arc`-shared rules, reusing
     /// previously compiled schemas and rules.
     pub fn compile_dtd(&self, dtd: &Dtd) -> Arc<Dtd> {
-        let fp = fingerprint_dtd(dtd);
-        let collided;
-        {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match inner.schemas.get(&fp) {
-                Some((source, hit)) if dtd_eq(source, dtd) => {
-                    let hit = Arc::clone(hit);
-                    inner.stats.schema_hits += 1;
-                    return hit;
-                }
-                entry => collided = entry.is_some(),
-            }
-            inner.stats.schema_misses += 1;
-        }
-        let _span = xmlta_obs::span("compile");
         let sigma = dtd.alphabet_size();
-        if !collided {
-            if let Some(compiled) =
-                self.store_load(ArtifactKind::Schema, fp, sigma, |artifact| match artifact {
-                    Artifact::Schema { source, compiled } if dtd_eq(&source, dtd) => {
-                        Some(Arc::new(compiled))
-                    }
-                    _ => None,
-                })
-            {
-                return self.adopt_schema(fp, dtd, compiled);
+        self.product(&SCHEMAS, (fingerprint_dtd(dtd), sigma), dtd, || {
+            let mut compiled = Dtd::new(sigma, dtd.start());
+            let mut rules: Vec<_> = dtd.rules().collect();
+            rules.sort_by_key(|(s, _)| *s);
+            for (sym, lang) in rules {
+                compiled.set_rule(sym, StringLang::Dfa(self.compile_rule(lang, sigma)));
             }
-        }
-        let mut compiled = Dtd::new(sigma, dtd.start());
-        let mut rules: Vec<_> = dtd.rules().collect();
-        rules.sort_by_key(|(s, _)| *s);
-        for (sym, lang) in rules {
-            compiled.set_rule(sym, StringLang::Dfa(self.compile_rule(lang, sigma)));
-        }
-        let compiled = Arc::new(compiled);
-        if collided {
-            // A different schema owns this fingerprint slot: serve the
-            // fresh compile uncached rather than evict (collisions are
-            // ~2^-64 per pair; correctness must not depend on that).
-            return compiled;
-        }
-        if self.store.is_some() {
-            if let Ok(bytes) = artifact::encode_schema(dtd, &compiled) {
-                self.store_save(ArtifactKind::Schema, fp, sigma, &bytes);
-            }
-        }
-        self.adopt_schema(fp, dtd, compiled)
-    }
-
-    /// Publishes a compiled schema (freshly built or adopted from the
-    /// store) into the in-memory map, re-verifying the slot's occupant: a
-    /// racing compile of a *colliding* schema may have claimed the slot
-    /// in the window since the miss.
-    fn adopt_schema(&self, fp: u64, dtd: &Dtd, compiled: Arc<Dtd>) -> Arc<Dtd> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.schemas.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(e) if !dtd_eq(&e.get().0, dtd) => compiled,
-            entry => Arc::clone(&entry.or_insert((dtd.clone(), compiled)).1),
-        }
+            Arc::new(compiled)
+        })
     }
 
     /// Compiles one rule language to a shared DFA, reusing equal rules.
-    pub fn compile_rule(&self, lang: &StringLang, sigma: usize) -> Arc<Dfa> {
+    fn compile_rule(&self, lang: &StringLang, sigma: usize) -> Arc<Dfa> {
         // Already-compiled rules are adopted as-is — no cache entry needed,
         // `to_shared_dfa` is an `Arc` bump.
         if let StringLang::Dfa(_) = lang {
             return lang.to_shared_dfa(sigma);
         }
-        let key = (fingerprint_lang(lang), sigma);
-        let collided;
-        {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match inner.rules.get(&key) {
-                Some((source, hit)) if lang_eq(source, lang) => {
-                    let hit = Arc::clone(hit);
-                    inner.stats.rule_hits += 1;
-                    return hit;
-                }
-                entry => collided = entry.is_some(),
-            }
-            inner.stats.rule_misses += 1;
-        }
-        let _span = xmlta_obs::span("compile");
-        if !collided {
-            if let Some(dfa) =
-                self.store_load(
-                    ArtifactKind::Rule,
-                    key.0,
-                    sigma,
-                    |artifact| match artifact {
-                        Artifact::Rule {
-                            sigma: s,
-                            source,
-                            compiled,
-                        } if s == sigma && lang_eq(&source, lang) => Some(Arc::new(compiled)),
-                        _ => None,
-                    },
-                )
-            {
-                return self.adopt_rule(key, lang, dfa);
-            }
-        }
-        let dfa = lang.to_shared_dfa(sigma);
-        if collided {
-            return dfa;
-        }
-        if self.store.is_some() {
-            let bytes = artifact::encode_rule(sigma, lang, &dfa);
-            self.store_save(ArtifactKind::Rule, key.0, sigma, &bytes);
-        }
-        self.adopt_rule(key, lang, dfa)
-    }
-
-    /// Publishes a compiled rule, re-verifying the slot (see
-    /// [`SchemaCache::adopt_schema`]).
-    fn adopt_rule(&self, key: (u64, usize), lang: &StringLang, dfa: Arc<Dfa>) -> Arc<Dfa> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.rules.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) if !lang_eq(&e.get().0, lang) => dfa,
-            entry => Arc::clone(&entry.or_insert((lang.clone(), dfa)).1),
-        }
+        self.product(&RULES, (fingerprint_lang(lang), sigma), lang, || {
+            lang.to_shared_dfa(sigma)
+        })
     }
 
     /// The Theorem 20 `B_out` product for output automaton `aout` over the
@@ -467,93 +434,23 @@ impl SchemaCache {
     /// the quadratic jump-pair construction the same way DTD workloads
     /// amortize rule compilation.
     pub fn delrelab_bout(&self, aout: &Nta, sigma: usize) -> Result<Arc<Nta>, TypecheckError> {
-        let key = (fingerprint_nta(aout), sigma);
-        let collided;
-        {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match inner.bouts.get(&key) {
-                Some((source, hit)) if nta_eq(source, aout) => {
-                    let hit = hit.clone();
-                    inner.stats.bout_hits += 1;
-                    return hit;
-                }
-                entry => collided = entry.is_some(),
-            }
-            inner.stats.bout_misses += 1;
-        }
-        let _span = xmlta_obs::span("delrelab");
-        if !collided {
-            if let Some(product) =
-                self.store_load(
-                    ArtifactKind::Bout,
-                    key.0,
-                    sigma,
-                    |artifact| match artifact {
-                        Artifact::Bout {
-                            sigma: s,
-                            source,
-                            product,
-                        } if s == sigma && nta_eq(&source, aout) => Some(Arc::new(product)),
-                        _ => None,
-                    },
-                )
-            {
-                return self.adopt_bout(key, aout, Ok(product));
-            }
-        }
-        // Validation and construction run outside the lock.
-        let built =
-            delrelab::require_dtac(aout).map(|()| Arc::new(delrelab::bout_product(aout, sigma)));
-        if collided {
-            return built;
-        }
-        // Only `Ok` products are persisted: a `DTAc` validation *failure*
-        // is a verdict, not a compiled artifact, and stays memory-only.
-        if self.store.is_some() {
-            if let Ok(product) = &built {
-                let bytes = artifact::encode_bout(sigma, aout, product);
-                self.store_save(ArtifactKind::Bout, key.0, sigma, &bytes);
-            }
-        }
-        self.adopt_bout(key, aout, built)
-    }
-
-    /// Publishes a `B_out` entry, re-verifying the slot (see
-    /// [`SchemaCache::adopt_schema`]).
-    fn adopt_bout(&self, key: (u64, usize), aout: &Nta, built: BoutEntry) -> BoutEntry {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.bouts.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) if !nta_eq(&e.get().0, aout) => built,
-            entry => entry.or_insert((aout.clone(), built)).1.clone(),
-        }
+        self.product(&BOUTS, (fingerprint_nta(aout), sigma), aout, || {
+            delrelab::require_dtac(aout).map(|()| Arc::new(delrelab::bout_product(aout, sigma)))
+        })
     }
 
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .stats
-    }
-
-    /// Number of distinct schemas and rules currently cached.
-    pub fn len(&self) -> (usize, usize) {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (inner.schemas.len(), inner.rules.len())
-    }
-
-    /// Whether nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0)
+        let inner = self.lock();
+        CacheStats {
+            schema_hits: inner.schemas.hits,
+            schema_misses: inner.schemas.misses,
+            rule_hits: inner.rules.hits,
+            rule_misses: inner.rules.misses,
+            bout_hits: inner.bouts.hits,
+            bout_misses: inner.bouts.misses,
+            ..inner.tallies
+        }
     }
 }
 
@@ -587,49 +484,30 @@ pub fn typecheck_cached(
     cache: &SchemaCache,
     instance: &Instance,
 ) -> Result<Outcome, TypecheckError> {
+    let alphabet_size = instance.alphabet_size();
     if let (Schema::Nta(ain), Schema::Nta(aout)) = (&instance.input, &instance.output) {
         // Mirror the dispatch of `typecheck_core::typecheck` for the
         // Theorem 20 pipeline, with step 3 served from the cache.
-        let transducer = if instance.transducer.uses_selectors() {
-            Cow::Owned(
-                translate::expand_selectors_with_alphabet(
-                    &instance.transducer,
-                    instance.alphabet_size(),
-                )
-                .map_err(|e| TypecheckError::Selector(e.to_string()))?,
-            )
-        } else {
-            Cow::Borrowed(&instance.transducer)
-        };
+        let transducer = typecheck_core::plain_transducer(&instance.transducer, alphabet_size)?;
         // Cheap transducer-class validation first, matching the direct
         // engine's error precedence and skipping the product entirely on
         // unsupported transducers.
         delrelab::require_delrelab(&transducer)?;
-        let sigma = delrelab::joint_sigma(ain, aout, instance.alphabet_size());
+        let sigma = delrelab::joint_sigma(ain, aout, alphabet_size);
         let bout = cache.delrelab_bout(aout, sigma)?;
         return delrelab::typecheck_delrelab_with_bout(ain, &bout, &transducer, sigma);
     }
-    let compile = |schema: &Schema| -> Schema {
-        match schema {
-            Schema::Dtd(d) => Schema::Dtd((*cache.compile_dtd(d)).clone()),
-            Schema::Nta(n) => Schema::Nta(n.clone()),
-        }
-    };
-    let prepared = Instance {
-        alphabet: instance.alphabet.clone(),
-        input: compile(&instance.input),
-        output: compile(&instance.output),
-        transducer: instance.transducer.clone(),
-    };
-    typecheck_core::typecheck(&prepared)
-}
-
-fn finish(h: FxHasher) -> u64 {
-    h.finish()
+    // Compiled DTDs share their rule tables, so each `Schema` built here is
+    // an `Arc` bump; tree automata are passed through borrowed.
+    let [input, output] = [&instance.input, &instance.output].map(|schema| match schema {
+        Schema::Dtd(d) => Cow::Owned(Schema::Dtd((*cache.compile_dtd(d)).clone())),
+        nta => Cow::Borrowed(nta),
+    });
+    typecheck_core::typecheck_parts(&input, &output, &instance.transducer, alphabet_size)
 }
 
 /// Structural equality of two DTDs (the cache-hit verification; see
-/// [`Inner`]).
+/// [`Table`]).
 fn dtd_eq(a: &Dtd, b: &Dtd) -> bool {
     if a.alphabet_size() != b.alphabet_size() || a.start() != b.start() {
         return false;
@@ -711,7 +589,7 @@ pub fn fingerprint_dtd(dtd: &Dtd) -> u64 {
         h.write_u32(sym.0);
         h.write_u64(fingerprint_lang(lang));
     }
-    finish(h)
+    h.finish()
 }
 
 /// Structural fingerprint of a rule language.
@@ -738,7 +616,7 @@ pub fn fingerprint_lang(lang: &StringLang) -> u64 {
             }
         }
     }
-    finish(h)
+    h.finish()
 }
 
 fn hash_nfa(h: &mut FxHasher, n: &Nfa) {
@@ -774,7 +652,7 @@ pub fn fingerprint_nta(nta: &Nta) -> u64 {
         h.write_u32(sym.0);
         hash_nfa(&mut h, nfa);
     }
-    finish(h)
+    h.finish()
 }
 
 /// Structural fingerprint of a whole typecheck instance: alphabet names
@@ -801,7 +679,7 @@ pub fn fingerprint_alphabet(a: &xmlta_base::Alphabet) -> u64 {
         h.write(a.name(s).as_bytes());
         h.write_u8(0xFF);
     }
-    finish(h)
+    h.finish()
 }
 
 /// Fingerprint of a schema section. DTD and NTA salts differ, so the
@@ -839,7 +717,7 @@ pub fn fingerprint_transducer_header(t: &Transducer) -> u64 {
             }
         }
     }
-    finish(h)
+    h.finish()
 }
 
 /// Fingerprint of one transducer rule `rhs(q, a)`.
@@ -850,7 +728,7 @@ pub fn fingerprint_rule(q: u32, a: xmlta_base::Symbol, rhs: &Rhs) -> u64 {
     h.write_u32(a.0);
     h.write_u64(rhs.nodes.len() as u64);
     rhs.nodes.iter().for_each(|n| hash_rhs_node(&mut h, n));
-    finish(h)
+    h.finish()
 }
 
 /// The per-component fingerprints of an instance: alphabet, each schema
@@ -948,7 +826,7 @@ impl ComponentFingerprints {
             h.write_u32(a.0);
             h.write_u64(fp);
         }
-        finish(h)
+        h.finish()
     }
 
     /// How many of `self`'s components carry a fingerprint identical to a
@@ -1281,6 +1159,111 @@ mod tests {
             (1, 1),
             "the validation verdict is cached too: {s:?}"
         );
+    }
+
+    /// A backend that stores nothing and logs every key it is asked for.
+    #[derive(Default)]
+    struct LoggingStore(Mutex<Vec<(ArtifactKind, u64, usize)>>);
+
+    impl ArtifactBackend for LoggingStore {
+        fn load(&self, kind: ArtifactKind, key: u64, sigma: usize) -> Option<Vec<u8>> {
+            self.0.lock().unwrap().push((kind, key, sigma));
+            None
+        }
+
+        fn save(&self, kind: ArtifactKind, key: u64, sigma: usize, _: &[u8]) -> bool {
+            self.0.lock().unwrap().push((kind, key, sigma));
+            true
+        }
+    }
+
+    /// Plants `foreign` under `key` in `kind`'s table of a store-backed
+    /// cache, then typechecks `instance` through it twice: each run must
+    /// get a fresh, correct product, while the occupant keeps its slot and
+    /// the store never hears of the key.
+    fn check_collision<S: Clone, P: Clone>(
+        kind: &Kind<S, P>,
+        key: (u64, usize),
+        foreign: (S, P),
+        instance: &Instance,
+    ) {
+        let store = Arc::new(LoggingStore::default());
+        let mut cache = SchemaCache::new();
+        cache.set_store(store.clone());
+        let occupant = foreign.0.clone();
+        (kind.table)(&mut cache.lock()).slots.insert(key, foreign);
+        let reference = typecheck_core::typecheck(instance);
+        for _ in 0..2 {
+            assert_eq!(typecheck_cached(&cache, instance), reference);
+        }
+        let mut inner = cache.lock();
+        let slot = &(kind.table)(&mut inner).slots[&key];
+        assert!(
+            (kind.same)(&slot.0, &occupant),
+            "the occupant keeps its slot"
+        );
+        let log = store.0.lock().unwrap();
+        assert!(
+            !log.contains(&(kind.artifact, key.0, key.1)),
+            "a collided slot never reaches the store: {log:?}"
+        );
+    }
+
+    #[test]
+    fn collided_slots_are_served_fresh_and_left_alone() {
+        use xmlta_schema::{convert::dtd_to_nta, dta};
+        use xmlta_transducer::TransducerBuilder;
+
+        let mut a = Alphabet::new();
+        let din = Dtd::parse("r -> x*\nx -> ", &mut a).unwrap();
+        let dout = Dtd::parse("s -> y*", &mut a).unwrap();
+        // The occupants' products: served in place of `dout`'s, they
+        // would flip the verdict (`x*` inputs map to any number of `y`s).
+        let foreign = Dtd::parse("s -> y", &mut a).unwrap();
+        let t = TransducerBuilder::new(&mut a)
+            .states(&["q"])
+            .rule("q", "r", "s(q)")
+            .rule("q", "x", "y")
+            .build()
+            .unwrap();
+        let dtds = |out: &Dtd| Instance::dtds(a.clone(), din.clone(), out.clone(), t.clone());
+        let outcome = |i: &Instance| typecheck_core::typecheck(i).expect("engine runs");
+        assert!(outcome(&dtds(&dout)).type_checks());
+        assert!(!outcome(&dtds(&foreign)).type_checks());
+        let sigma = dout.alphabet_size();
+        let compiled_foreign = SchemaCache::new().compile_dtd(&foreign);
+
+        // Schema level: a foreign DTD owns `dout`'s slot.
+        let key = (fingerprint_dtd(&dout), sigma);
+        let planted = (foreign.clone(), compiled_foreign.clone());
+        check_collision(&SCHEMAS, key, planted, &dtds(&dout));
+
+        // Rule level: a foreign rule owns the slot of `dout`'s `s` rule.
+        let s = a.sym("s");
+        let lang = dout.rule(s).unwrap();
+        let foreign_lang = foreign.rule(s).unwrap().clone();
+        let foreign_dfa = compiled_foreign.rule(s).unwrap().to_shared_dfa(sigma);
+        let key = (fingerprint_lang(lang), sigma);
+        check_collision(&RULES, key, (foreign_lang, foreign_dfa), &dtds(&dout));
+
+        // Tree-automata level: a foreign output NTA owns the `B_out` slot.
+        let ntas = |out: &Dtd| {
+            let aout = dta::complete(&dtd_to_nta(out));
+            Instance::ntas(a.clone(), dtd_to_nta(&din), aout, t.clone())
+        };
+        let (instance, other) = (ntas(&dout), ntas(&foreign));
+        assert!(outcome(&instance).type_checks());
+        assert!(!outcome(&other).type_checks());
+        let (Schema::Nta(ain), Schema::Nta(aout)) = (&instance.input, &instance.output) else {
+            unreachable!()
+        };
+        let Schema::Nta(foreign_aout) = &other.output else {
+            unreachable!()
+        };
+        let sigma = delrelab::joint_sigma(ain, aout, instance.alphabet_size());
+        let product = Arc::new(delrelab::bout_product(foreign_aout, sigma));
+        let key = (fingerprint_nta(aout), sigma);
+        check_collision(&BOUTS, key, (foreign_aout.clone(), Ok(product)), &instance);
     }
 
     #[test]

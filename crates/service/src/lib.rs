@@ -4,7 +4,7 @@
 //! The engine crates decide single instances constructed in Rust; this
 //! crate turns them into a request-serving pipeline:
 //!
-//! * [`parse`] / [`print`] — a concrete textual format for instances
+//! * [`parse`] / [`print`](mod@print) — a concrete textual format for instances
 //!   (DTD/NTA schemas + transducer) with line/col error reporting, so
 //!   instances load from files and round-trip through text; [`canon`]
 //!   builds the parse of an instance's print without printing it;

@@ -33,7 +33,7 @@
 //! Schemas may also be unranked tree automata (`input nta { ... }`) whose
 //! transition languages are regular expressions over declared state names.
 //! See the crate docs for the full grammar. Every error carries a 1-based
-//! line/column [`Loc`](crate::error::Loc).
+//! line/column [`Loc`].
 
 use crate::error::{Loc, ParseError};
 use typecheck_core::{Instance, Schema};
