@@ -138,6 +138,12 @@ set -e
 xmlta client --socket "$sock" batch --out "$smoke/bstream-srv.json" "$smoke/all.xts"
 grep -q '"errors":0' "$smoke/bstream-srv.json" \
     || { echo "server batch_bin errored"; exit 1; }
+# Streamed per item, the frames must splice back into the unstreamed
+# report byte for byte.
+xmlta client --socket "$sock" batch --stream --out "$smoke/bstream-srv-streamed.json" \
+    "$smoke/all.xts"
+cmp "$smoke/bstream-srv.json" "$smoke/bstream-srv-streamed.json" \
+    || { echo "streamed batch_bin report differs from the unstreamed one"; exit 1; }
 
 echo "== incremental update smoke (register → edit → update → reused artifacts)"
 cat > "$smoke/update.xti" <<'EOF'
@@ -450,6 +456,12 @@ done
 wait "$batch_pid" || { echo "fleet batch did not survive the shard kills"; exit 1; }
 cmp "$smoke/fleet-single.json" "$smoke/fleet-router.json" \
     || { echo "fleet report differs from the single-daemon report"; exit 1; }
+# The relay answers a streamed batch_bin with the shard's whole frame
+# sequence; spliced, it must be the unstreamed report byte for byte.
+xmlta client --socket "$rsock" batch --stream --out "$smoke/fleet-router-streamed.json" \
+    "$smoke/layered.xts"
+cmp "$smoke/fleet-router.json" "$smoke/fleet-router-streamed.json" \
+    || { echo "streamed fleet report differs from the unstreamed one"; exit 1; }
 # The supervisor must have respawned at least one shard.
 if xmlta client --socket "$rsock" stats | grep -q '"shard_respawns":0'; then
     echo "shards were killed but shard_respawns stayed 0"; exit 1

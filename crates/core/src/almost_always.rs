@@ -371,7 +371,7 @@ fn pumpable_profiles(
             // Mark every node on a cycle (in an SCC of size ≥ 2 or with a
             // self-loop) as pumpable.
             for (i, k) in keys.iter().enumerate() {
-                if adj[i].contains(&i) || on_cycle_usize(&adj, i) {
+                if adj[i].contains(&i) || on_cycle(&adj, i) {
                     pumpable.insert(*k);
                 }
             }
@@ -392,23 +392,6 @@ fn pumpable_profiles(
             return Ok(pumpable);
         }
     }
-}
-
-fn on_cycle_usize(adj: &[Vec<usize>], node: usize) -> bool {
-    let mut seen = vec![false; adj.len()];
-    let mut stack = vec![node];
-    while let Some(x) = stack.pop() {
-        for &y in &adj[x] {
-            if y == node {
-                return true;
-            }
-            if !seen[y] {
-                seen[y] = true;
-                stack.push(y);
-            }
-        }
-    }
-    false
 }
 
 /// Context pumpability: can the part of the input *above* some violating
@@ -579,45 +562,17 @@ impl Lemma14Engine {
         q: StateId,
         a: usize,
     ) -> Result<Option<WalkGraph>, TypecheckError> {
-        let checks = self.checks_for(q, a);
-        if checks.is_empty() {
+        let is_root = (q, a) == (self.t.initial_state(), self.din_start);
+        let Some(needed) = self.check_states(q, a, is_root) else {
             return Ok(None);
-        }
-        let mut needed: Vec<StateId> = Vec::new();
-        for c in &checks {
-            for item in &c.1 {
-                if let crate::lemma14::TopItem::St(p) = item {
-                    if !needed.contains(p) {
-                        needed.push(*p);
-                    }
-                }
-            }
-        }
-        needed.sort_unstable();
+        };
         let graph = self.explore_recording_edges(a, &needed)?;
-        let mut violating = Vec::new();
-        for &node in &graph.accepting {
-            let hvec = graph.hvec_of(node);
-            for (start, items) in &checks {
-                let mut x = *start;
-                for item in items {
-                    x = match item {
-                        crate::lemma14::TopItem::Beh(b) => self.behaviors.apply(*b, x),
-                        crate::lemma14::TopItem::St(p) => {
-                            let pos = needed.iter().position(|y| y == p).expect("tracked");
-                            self.behaviors.apply(hvec[pos], x)
-                        }
-                    };
-                    if x == crate::behavior::DEAD {
-                        break;
-                    }
-                }
-                if x == crate::behavior::DEAD || !self.out.is_final(x) {
-                    violating.push(node as usize);
-                    break;
-                }
-            }
-        }
+        let violating: Vec<usize> = graph
+            .accepting
+            .iter()
+            .filter(|&&node| self.violates(q, a, is_root, &needed, graph.hvec_of(node)))
+            .map(|&node| node as usize)
+            .collect();
         if violating.is_empty() {
             return Ok(None);
         }
@@ -634,13 +589,13 @@ impl Lemma14Engine {
         &mut self,
         a: usize,
     ) -> Result<Vec<(ProfileId, WalkGraph)>, TypecheckError> {
-        let needed = self.top_states_public(a);
+        let needed = self.top_states_of(a);
         let mut graph = self.explore_recording_edges(a, &needed)?;
         let edges = std::rc::Rc::new(std::mem::take(&mut graph.edges));
         let mut per_profile: HashMap<ProfileId, Vec<usize>> = HashMap::new();
         for &node in &graph.accepting {
             let hvec: Box<[BehaviorId]> = graph.hvec_of(node).into();
-            let profile = self.assemble_profile_public(a, &needed, &hvec);
+            let profile = self.assemble_profile(a, &needed, &hvec);
             if let Some(pid) = self.lookup_profile(&profile) {
                 per_profile.entry(pid).or_default().push(node as usize);
             }

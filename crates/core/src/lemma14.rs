@@ -219,7 +219,7 @@ impl Lemma14Engine {
 
     /// The states whose compositions a walk for symbol `a` must track to
     /// assemble full profiles.
-    fn top_states_of(&self, a: usize) -> Vec<StateId> {
+    pub(crate) fn top_states_of(&self, a: usize) -> Vec<StateId> {
         let mut out: Vec<StateId> = Vec::new();
         for q in 0..self.t.num_states() as StateId {
             if let Some(items) = self.tops.get(&(q, a)) {
@@ -518,7 +518,7 @@ impl Lemma14Engine {
     }
 
     /// Assembles the full profile from tracked compositions.
-    fn assemble_profile(
+    pub(crate) fn assemble_profile(
         &mut self,
         a: usize,
         needed: &[StateId],
@@ -902,7 +902,29 @@ impl Lemma14Engine {
         a: usize,
         is_root: bool,
     ) -> Result<Option<Violation>, TypecheckError> {
-        // States whose compositions the checks need.
+        let Some(needed) = self.check_states(q, a, is_root) else {
+            return Ok(None);
+        };
+        // The fixpoint's walk for `(a, needed)` is reused verbatim when
+        // the tracked sets coincide (and extended from wherever it
+        // stopped when they do not) — reachable pairs sharing a symbol
+        // no longer re-explore the walk per pair.
+        let walk = self.explore(a, &needed)?;
+        let found = walk
+            .accepting
+            .iter()
+            .find(|&&node| self.violates(q, a, is_root, &needed, walk.hvec_of(node)))
+            .map(|&node| Violation {
+                pair: (q, a),
+                children: walk.path_to(node),
+            });
+        self.put_walk(a, &needed, walk);
+        Ok(found)
+    }
+
+    /// The sorted states whose compositions the checks of pair `(q, a)`
+    /// read, or `None` when the pair has no checks at all.
+    pub(crate) fn check_states(&self, q: StateId, a: usize, is_root: bool) -> Option<Vec<StateId>> {
         let mut needed: Vec<StateId> = Vec::new();
         let mut any_check = false;
         for (_, items) in self.check_items(q, a, is_root) {
@@ -915,43 +937,38 @@ impl Lemma14Engine {
                 }
             }
         }
-        if !any_check {
-            return Ok(None);
-        }
         needed.sort_unstable();
-        // The fixpoint's walk for `(a, needed)` is reused verbatim when
-        // the tracked sets coincide (and extended from wherever it
-        // stopped when they do not) — reachable pairs sharing a symbol
-        // no longer re-explore the walk per pair.
-        let walk = self.explore(a, &needed)?;
-        let mut found = None;
-        'nodes: for &node in &walk.accepting {
-            let hvec = walk.hvec_of(node);
-            for (start, items) in self.check_items(q, a, is_root) {
-                let mut x = start;
-                for item in items {
-                    x = match item {
-                        TopItem::Beh(b) => self.behaviors.apply(*b, x),
-                        TopItem::St(p) => {
-                            let pos = needed.iter().position(|y| y == p).expect("tracked");
-                            self.behaviors.apply(hvec[pos], x)
-                        }
-                    };
-                    if x == DEAD {
-                        break;
+        any_check.then_some(needed)
+    }
+
+    /// Whether some check of pair `(q, a)` fails at a walk node whose
+    /// tracked compositions are `hvec` (one per state of `needed`): the
+    /// check's output word runs the output DFA into a dead or non-final
+    /// state.
+    pub(crate) fn violates(
+        &self,
+        q: StateId,
+        a: usize,
+        is_root: bool,
+        needed: &[StateId],
+        hvec: &[BehaviorId],
+    ) -> bool {
+        self.check_items(q, a, is_root).any(|(start, items)| {
+            let mut x = start;
+            for item in items {
+                x = match item {
+                    TopItem::Beh(b) => self.behaviors.apply(*b, x),
+                    TopItem::St(p) => {
+                        let pos = needed.iter().position(|y| y == p).expect("tracked");
+                        self.behaviors.apply(hvec[pos], x)
                     }
-                }
-                if x == DEAD || !self.out.is_final(x) {
-                    found = Some(Violation {
-                        pair: (q, a),
-                        children: walk.path_to(node),
-                    });
-                    break 'nodes;
+                };
+                if x == DEAD {
+                    return true;
                 }
             }
-        }
-        self.put_walk(a, &needed, walk);
-        Ok(found)
+            !self.out.is_final(x)
+        })
     }
 
     /// The checks of pair `(q, a)` as `(start state, items)`:
@@ -1043,37 +1060,6 @@ impl Lemma14Engine {
 }
 
 impl Lemma14Engine {
-    /// The checks for `(q, a)` as `(start state, items)` pairs, including
-    /// the virtual-root check when the pair is the root pair. Used by the
-    /// almost-always analysis.
-    pub(crate) fn checks_for(&self, q: StateId, a: usize) -> Vec<(u32, Vec<TopItem>)> {
-        let mut out: Vec<(u32, Vec<TopItem>)> = self
-            .checks
-            .get(&(q, a))
-            .map(|cs| cs.iter().map(|c| (c.start, c.items.clone())).collect())
-            .unwrap_or_default();
-        if (q, a) == (self.t.initial_state(), self.din_start) {
-            let items = self.tops.get(&(q, a)).cloned().unwrap_or_default();
-            out.push((self.out.root_initial(), items));
-        }
-        out
-    }
-
-    /// Public wrapper over [`Lemma14Engine::top_states_of`].
-    pub(crate) fn top_states_public(&self, a: usize) -> Vec<StateId> {
-        self.top_states_of(a)
-    }
-
-    /// Public wrapper over profile assembly.
-    pub(crate) fn assemble_profile_public(
-        &mut self,
-        a: usize,
-        needed: &[StateId],
-        hvec: &[BehaviorId],
-    ) -> Box<[BehaviorId]> {
-        self.assemble_profile(a, needed, hvec)
-    }
-
     /// Looks up an interned profile.
     pub(crate) fn lookup_profile(&self, p: &[BehaviorId]) -> Option<ProfileId> {
         self.profile_ids.get(p).copied()

@@ -28,6 +28,7 @@
 //! JSON report*, which is the artifact pipelines should inspect — and `2`
 //! on usage/IO errors.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -98,12 +99,12 @@ USAGE:
         verify            re-decode and re-fingerprint every entry;
                           prints corrupt/misfiled entries (these are
                           exactly the entries a daemon would silently
-                          recompile) and the store hit/miss/write/corrupt
-                          counters; exit 1 when any are found
+                          recompile); exit 1 when any are found
         gc --max-bytes N  evict least-recently-used entries until the
                           artifacts kept hold at most N bytes
         ls                list entries (kind/key-sigma and sizes),
-                          flagging corrupt ones, plus the store counters
+                          flagging corrupt ones, then the verified and
+                          corrupt counts
 
   xmlta serve (--socket PATH | --tcp HOST:PORT | --stdio)
               [--max-frame BYTES] [--registry-cap N] [--memo-cap N]
@@ -885,22 +886,11 @@ fn store_verify(store: &xmlta_store::Store) -> Result<ExitCode, String> {
     for (path, why) in &report.corrupt {
         println!("corrupt: {}: {why}", path.display());
     }
-    print_store_counters(store);
     Ok(if report.corrupt.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     })
-}
-
-/// Prints the handle's `store_*` health counters (the same tallies the
-/// daemon surfaces through the `stats` op).
-fn print_store_counters(store: &xmlta_store::Store) {
-    let c = store.counters();
-    println!(
-        "store counters: {} hit(s) / {} miss(es) / {} write(s) / {} corrupt",
-        c.hits, c.misses, c.writes, c.corrupt
-    );
 }
 
 /// `store gc --max-bytes N`: evict least-recently-used entries down to
@@ -917,7 +907,7 @@ fn store_gc(store: &xmlta_store::Store, max_bytes: Option<u64>) -> Result<ExitCo
 
 /// `store ls`: list entries, sorted by kind/key/sigma for stable output.
 /// Each entry is verified as it is listed (a corrupt one is annotated),
-/// with the handle's health counters before the closing tally — the
+/// with the verified and corrupt counts before the closing tally — the
 /// tally stays the last line, so `ls | grep` pipelines that close after
 /// matching it never cut a write short.
 fn store_ls(store: &xmlta_store::Store) -> Result<ExitCode, String> {
@@ -936,7 +926,7 @@ fn store_ls(store: &xmlta_store::Store) -> Result<ExitCode, String> {
             if corrupt { "  [corrupt]" } else { "" }
         );
     }
-    print_store_counters(store);
+    println!("{} verified, {} corrupt", report.ok, report.corrupt.len());
     println!("{} entry(ies), {total} bytes", entries.len());
     Ok(ExitCode::SUCCESS)
 }
@@ -956,7 +946,7 @@ fn store_ls(store: &xmlta_store::Store) -> Result<ExitCode, String> {
 /// turns the coverage report into a gate (exit 1 below PCT), which is
 /// how ci pins the "≥ 90% of wall-clock is attributed" property.
 fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::collections::{HashMap, HashSet};
     let opts = parse_opts(args)?;
     let [path] = opts.positional.as_slice() else {
         return Err("trace needs exactly one FILE (the JSONL trace)".into());
@@ -1174,13 +1164,6 @@ fn transport(e: std::io::Error) -> ClientError {
     }
 }
 
-fn disconnected(what: &str) -> ClientError {
-    ClientError::Transport(
-        EXIT_DISCONNECT,
-        format!("connection lost mid-stream: {what}"),
-    )
-}
-
 /// The server address from `--socket`/`--tcp` (exactly one).
 fn client_addr(opts: &Opts) -> Result<xmlta_server::ServerAddr, ClientError> {
     match (&opts.socket, &opts.tcp) {
@@ -1233,10 +1216,19 @@ fn cmd_client_inner(args: &[String]) -> Result<ExitCode, ClientError> {
     match action.as_str() {
         "register" => client_register(&mut client, targets),
         "update" => client_update(&mut client, targets),
-        "typecheck" => match opts.pipeline {
-            Some(depth) => client_typecheck_pipelined(&mut client, targets, depth),
-            None => client_typecheck(&mut client, targets),
-        },
+        "typecheck" => {
+            // Window 1 on a v1 connection, which answers in order and
+            // writes synchronously; `--pipeline N` negotiated v2 above.
+            let mut responses = BTreeMap::new();
+            client
+                .exchange(
+                    &build_check_plan(targets)?,
+                    opts.pipeline.unwrap_or(1),
+                    &mut responses,
+                )
+                .map_err(transport)?;
+            print_check_results(targets, &responses)
+        }
         "batch" => client_batch(&mut client, &opts, targets),
         "raw" => client_raw(&mut client),
         "ping" | "stats" | "shutdown" => {
@@ -1452,38 +1444,6 @@ fn parse_edit_args(args: &[String]) -> Result<proto::Edit, ClientError> {
     }
 }
 
-fn client_typecheck(client: &mut Client, targets: &[String]) -> Result<ExitCode, ClientError> {
-    if targets.is_empty() {
-        return Err("typecheck needs at least one FILE or @HANDLE".into());
-    }
-    let mut saw_counterexample = false;
-    let mut saw_error = false;
-    for (i, target) in targets.iter().enumerate() {
-        let id = 2 * i as u64 + 1;
-        let frame = match target.strip_prefix('@') {
-            Some(handle) => proto::req_typecheck_handle(id, handle),
-            None => {
-                // Register the file on this connection, then check it by
-                // handle — the registered/warm path, end to end.
-                let registered = client_roundtrip(client, &register_frame_for(target, id)?)?;
-                if let Some(e) = response_error(&registered) {
-                    println!("{target}: {e}");
-                    saw_error = true;
-                    continue;
-                }
-                let handle = registered
-                    .get("handle")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{target}: response has no handle"))?;
-                proto::req_typecheck_handle(id + 1, handle)
-            }
-        };
-        let response = client_roundtrip(client, &frame)?;
-        print_check_response(target, &response, &mut saw_counterexample, &mut saw_error);
-    }
-    Ok(exit_for(saw_counterexample, saw_error))
-}
-
 /// Negotiates protocol 2 on a fresh connection; returns the granted
 /// pipeline depth.
 fn negotiate_v2(client: &mut Client, depth: Option<usize>) -> Result<usize, ClientError> {
@@ -1498,66 +1458,20 @@ fn negotiate_v2(client: &mut Client, depth: Option<usize>) -> Result<usize, Clie
         .ok_or_else(|| "server granted no pipeline (protocol 2 unsupported?)".into())
 }
 
-/// Streams `frames` with up to `window` unanswered requests in flight and
-/// returns the responses keyed by their echoed numeric id. The v2 server
-/// answers in completion order, so the map — not arrival order — is the
-/// correlation structure.
-fn pipeline_frames(
-    client: &mut Client,
-    frames: &[String],
-    window: usize,
-) -> Result<std::collections::HashMap<u64, Json>, ClientError> {
-    let window = window.max(1);
-    let mut responses = std::collections::HashMap::with_capacity(frames.len());
-    let mut sent = 0usize;
-    while responses.len() < frames.len() {
-        while sent < frames.len() && sent - responses.len() < window {
-            client.send(&frames[sent]).map_err(transport)?;
-            sent += 1;
-        }
-        let line = client
-            .recv()
-            .map_err(transport)?
-            .ok_or_else(|| disconnected("server closed the connection mid-pipeline"))?;
-        let response = parse_json(&line).map_err(|e| format!("bad response from server: {e}"))?;
-        let id = response
-            .get("id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("response without a numeric id: {line}"))?;
-        if responses.insert(id, response).is_some() {
-            return Err(format!("server answered id {id} twice").into());
-        }
+/// The register/typecheck frame plan of `client typecheck`, in send
+/// order: per target `i`, a register frame with id `2i+1` (files only)
+/// and then its typecheck frame with id `2i+2`. Handles are computed
+/// client-side, so the typecheck frame need not wait for the register
+/// reply: the server resolves handles in request order.
+fn build_check_plan(targets: &[String]) -> Result<Vec<(u64, String)>, ClientError> {
+    if targets.is_empty() {
+        return Err("typecheck needs at least one FILE or @HANDLE".into());
     }
-    Ok(responses)
-}
-
-/// The pipelined `client typecheck`: register/typecheck pairs for every
-/// target ride the wire interleaved under distinct ids (handles are
-/// content-derived, so the typecheck frame is built client-side without
-/// waiting for the register reply — the v2 server resolves handles in
-/// request order, so the pair can never miss). Output and exit codes match
-/// the sequential client's.
-/// The register/typecheck frame plan shared by the pipelined and
-/// resilient clients: per target, an optional register frame (odd id)
-/// and a typecheck frame (even id ≥ 2), handles computed client-side.
-struct CheckPlan {
-    /// All frames in send order (registers interleaved before checks).
-    frames: Vec<String>,
-    /// Per target: the id of its register frame (if any) and its check.
-    per_target: Vec<(Option<u64>, u64)>,
-}
-
-fn build_check_plan(targets: &[String]) -> Result<CheckPlan, ClientError> {
-    let mut frames: Vec<String> = Vec::with_capacity(2 * targets.len());
-    let mut per_target: Vec<(Option<u64>, u64)> = Vec::with_capacity(targets.len());
+    let mut frames: Vec<(u64, String)> = Vec::with_capacity(2 * targets.len());
     for (i, target) in targets.iter().enumerate() {
         let reg_id = 2 * i as u64 + 1;
-        let check_id = 2 * i as u64 + 2;
-        match target.strip_prefix('@') {
-            Some(handle) => {
-                frames.push(proto::req_typecheck_handle(check_id, handle));
-                per_target.push((None, check_id));
-            }
+        let handle = match target.strip_prefix('@') {
+            Some(handle) => handle.to_string(),
             None => {
                 let (register, handle) = match read_payload(target)? {
                     Payload::Text(source) => {
@@ -1574,48 +1488,40 @@ fn build_check_plan(targets: &[String]) -> Result<CheckPlan, ClientError> {
                         )
                     }
                 };
-                frames.push(register);
-                frames.push(proto::req_typecheck_handle(check_id, &handle));
-                per_target.push((Some(reg_id), check_id));
+                frames.push((reg_id, register));
+                handle
             }
-        }
+        };
+        frames.push((reg_id + 1, proto::req_typecheck_handle(reg_id + 1, &handle)));
     }
-    Ok(CheckPlan { frames, per_target })
+    Ok(frames)
 }
 
-fn client_typecheck_pipelined(
-    client: &mut Client,
+/// Prints every target's verdict from the answers to its plan. A failed
+/// register is the root cause of its paired typecheck's
+/// `unknown-handle`, so only the register failure is reported. A
+/// resilient run has no register answers (its registers ride the
+/// reconnect prelude), so there the typecheck answer speaks for both.
+fn print_check_results(
     targets: &[String],
-    depth: usize,
+    responses: &BTreeMap<u64, String>,
 ) -> Result<ExitCode, ClientError> {
-    if targets.is_empty() {
-        return Err("typecheck needs at least one FILE or @HANDLE".into());
-    }
-    let CheckPlan {
-        frames,
-        per_target: plan,
-    } = build_check_plan(targets)?;
-    let responses = pipeline_frames(client, &frames, depth)?;
+    let parse = |line: &str| -> Result<Json, ClientError> {
+        parse_json(line).map_err(|e| format!("bad response from server: {e}").into())
+    };
     let mut saw_counterexample = false;
     let mut saw_error = false;
-    for (target, (reg_id, check_id)) in targets.iter().zip(&plan) {
-        if let Some(reg_id) = reg_id {
-            let registered = responses
-                .get(reg_id)
-                .ok_or_else(|| format!("{target}: no response for register id {reg_id}"))?;
-            if let Some(e) = response_error(registered) {
-                // The paired typecheck saw `unknown-handle`; the register
-                // failure is the root cause, so report only it (matching
-                // the sequential client, which never sends the pair).
+    for (i, target) in targets.iter().enumerate() {
+        let check_id = 2 * i as u64 + 2;
+        if let Some(registered) = responses.get(&(check_id - 1)) {
+            if let Some(e) = response_error(&parse(registered)?) {
                 println!("{target}: {e}");
                 saw_error = true;
                 continue;
             }
         }
-        let response = responses
-            .get(check_id)
-            .ok_or_else(|| format!("{target}: no response for typecheck id {check_id}"))?;
-        print_check_response(target, response, &mut saw_counterexample, &mut saw_error);
+        let response = parse(&responses[&check_id])?;
+        print_check_response(target, &response, &mut saw_counterexample, &mut saw_error);
     }
     Ok(exit_for(saw_counterexample, saw_error))
 }
@@ -1636,21 +1542,16 @@ fn client_raw(client: &mut Client) -> Result<ExitCode, ClientError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `client typecheck --retry N`: the pipelined plan driven through
+/// `client typecheck --retry N`: the check plan driven through
 /// [`xmlta_server::ResilientClient`] — register frames ride as the
-/// reconnect prelude, typecheck frames replay until answered. Output and
-/// exit codes match the other client paths; a register failure surfaces
-/// through its paired typecheck (`unknown-handle`).
+/// reconnect prelude, typecheck frames replay until answered.
 fn client_typecheck_resilient(
     addr: &xmlta_server::ServerAddr,
     opts: &Opts,
     targets: &[String],
     attempts: u32,
 ) -> Result<ExitCode, ClientError> {
-    if targets.is_empty() {
-        return Err("typecheck needs at least one FILE or @HANDLE".into());
-    }
-    let CheckPlan { frames, per_target } = build_check_plan(targets)?;
+    let frames = build_check_plan(targets)?;
     let policy = xmlta_server::RetryPolicy {
         attempts: attempts.max(1),
         seed: opts.seed.unwrap_or(0),
@@ -1661,18 +1562,12 @@ fn client_typecheck_resilient(
     if let Some(ms) = opts.timeout_ms {
         resilient.set_read_timeout((ms > 0).then(|| std::time::Duration::from_millis(ms)));
     }
-    let check_ids: std::collections::HashSet<u64> =
-        per_target.iter().map(|(_, check)| *check).collect();
-    let mut work: Vec<(u64, String)> = Vec::with_capacity(per_target.len());
-    for frame in frames {
-        let id = parse_json(&frame)
-            .ok()
-            .and_then(|j| j.get("id").and_then(Json::as_u64))
-            .expect("plan frames carry numeric ids");
-        if check_ids.contains(&id) {
-            work.push((id, frame));
-        } else {
+    let mut work: Vec<(u64, String)> = Vec::with_capacity(targets.len());
+    for (id, frame) in frames {
+        if id % 2 == 1 {
             resilient.push_prelude(frame);
+        } else {
+            work.push((id, frame));
         }
     }
     let responses = resilient.run(&work).map_err(transport)?;
@@ -1683,16 +1578,7 @@ fn client_typecheck_resilient(
             resilient.replayed()
         );
     }
-    let mut saw_counterexample = false;
-    let mut saw_error = false;
-    for (target, (_, check_id)) in targets.iter().zip(&per_target) {
-        let line = responses
-            .get(check_id)
-            .ok_or_else(|| format!("{target}: no response for typecheck id {check_id}"))?;
-        let response = parse_json(line).map_err(|e| format!("bad response from server: {e}"))?;
-        print_check_response(target, &response, &mut saw_counterexample, &mut saw_error);
-    }
-    Ok(exit_for(saw_counterexample, saw_error))
+    print_check_results(targets, &responses)
 }
 
 fn client_batch(
@@ -1721,10 +1607,12 @@ fn client_batch(
             negotiate_v2(client, None)?;
         }
         if opts.stream {
-            let report = collect_streamed_report(client, &frame).map_err(|e| match e {
-                ClientError::Usage(msg) => ClientError::Usage(format!("{name}: {msg}")),
-                other => other,
-            })?;
+            let mut answered = BTreeMap::new();
+            client
+                .exchange(&[(1, frame)], 1, &mut answered)
+                .map_err(transport)?;
+            let report =
+                splice_streamed_report(&answered[&1]).map_err(|e| format!("{name}: {e}"))?;
             return finish_raw_report(opts, &report).map_err(ClientError::Usage);
         }
         let response = client_roundtrip(client, &frame)?;
@@ -1780,38 +1668,27 @@ fn raw_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     line.ends_with('}').then(|| &line[start..line.len() - 1])
 }
 
-/// Drives a streamed `batch_bin` exchange: sends `frame`, collects one
-/// item frame per instance plus the final tally frame, and reassembles
-/// the exact report the unstreamed reply would have carried (the tally
-/// with the raw items spliced into a `results` array).
-fn collect_streamed_report(client: &mut Client, frame: &str) -> Result<String, ClientError> {
-    client.send(frame).map_err(transport)?;
-    let mut items: Vec<String> = Vec::new();
-    loop {
-        let line = client
-            .recv()
-            .map_err(transport)?
-            .ok_or_else(|| disconnected("server closed the connection mid-stream"))?;
-        let response = parse_json(&line).map_err(|e| format!("bad response from server: {e}"))?;
-        if let Some(e) = response_error(&response) {
-            return Err(e.into());
-        }
-        if response.get("item").is_some() {
-            let raw =
-                raw_field(&line, "item").ok_or_else(|| format!("malformed item frame: {line}"))?;
-            items.push(raw.to_string());
-            continue;
-        }
-        if response.get("report").is_none() {
-            return Err(format!("unexpected frame in batch stream: {line}").into());
-        }
-        let tally =
-            raw_field(&line, "report").ok_or_else(|| format!("malformed report frame: {line}"))?;
-        let body = tally
-            .strip_suffix('}')
-            .ok_or_else(|| format!("malformed report tally: {tally}"))?;
-        return Ok(format!("{body},\"results\":[{}]}}", items.join(",")));
+/// The report a streamed `batch_bin` answer (its frames joined by `\n`)
+/// stands for: the closing tally with the raw items spliced in as its
+/// `results` array — byte for byte the report the unstreamed reply
+/// carries.
+fn splice_streamed_report(answer: &str) -> Result<String, String> {
+    let mut frames: Vec<&str> = answer.split('\n').collect();
+    let last = frames.pop().expect("split yields at least one frame");
+    let response = parse_json(last).map_err(|e| format!("bad response from server: {e}"))?;
+    if let Some(e) = response_error(&response) {
+        return Err(e);
     }
+    let tally = raw_field(last, "report")
+        .ok_or_else(|| format!("unexpected frame in batch stream: {last}"))?;
+    let body = tally
+        .strip_suffix('}')
+        .ok_or_else(|| format!("malformed report tally: {tally}"))?;
+    let items = frames
+        .iter()
+        .map(|line| raw_field(line, "item").ok_or_else(|| format!("malformed item frame: {line}")))
+        .collect::<Result<Vec<&str>, String>>()?;
+    Ok(format!("{body},\"results\":[{}]}}", items.join(",")))
 }
 
 /// Writes or summarizes a report reassembled from a streamed response.

@@ -15,13 +15,28 @@
 //! catches up — a v2 connection absorbs arbitrarily deep pipelining
 //! without deadlock.
 //!
-//! [`ResilientClient`] layers a retry discipline on top: jittered
+//! Every id-correlated exchange — the CLI's, every [`ResilientClient`]
+//! run, and the router's shard links — goes through one driver,
+//! [`Client::exchange`]: it keeps a window of requests in flight and
+//! records each answer by its echoed id. A frame that carries a work id
+//! *and* an `item` field belongs to a streamed `batch_bin` reply: it is
+//! buffered, and the id is answered by its first frame without `item`,
+//! the answer being all of the id's frames joined by `\n`. A streamed
+//! batch is therefore one ordinary work item. Frames without a work id
+//! are noise and are skipped: a torn-frame `malformed-frame` error or a
+//! `read-timeout` notice describes the transport, not any request, and
+//! on a router's long-lived shard link a stale notice must never become
+//! some later client request's answer.
+//!
+//! [`ResilientClient`] layers one reconnect loop on top: jittered
 //! exponential backoff on connect and reconnect, a *prelude* of
 //! registration frames re-sent on every (re)connect (handles are
-//! session-scoped), and replay of unanswered pipelined requests after a
-//! drop. Replay is safe because verdicts are deterministic and
-//! id-correlated: re-asking the same request yields the same answer, and
-//! the client asserts exactly that whenever it sees an id twice.
+//! session-scoped), and replay of unanswered requests after a drop.
+//! Replay is safe because verdicts depend only on content: re-asking the
+//! same request yields the same answer, and the driver asserts exactly
+//! that whenever it sees an id answered twice. A partial stream lives
+//! only inside one connection's exchange, so a drop replays the whole
+//! streamed request rather than stitching frames across connections.
 
 use crate::net::Stream;
 use crate::session::{read_raw, Raw};
@@ -163,13 +178,102 @@ impl Client {
             }
             return Err(e);
         }
-        self.recv()?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            )
-        })
+        self.recv()?
+            .ok_or_else(|| closed("server closed the connection before responding"))
     }
+
+    /// The request driver: plays `work` — `(id, frame)` pairs with
+    /// distinct ids — with at most `window` unanswered frames in flight,
+    /// until every id has an answer in `answered`. Ids already answered
+    /// are not sent again, so a caller resumes after a drop by calling
+    /// this again on a fresh connection with the same map.
+    ///
+    /// Answers are recorded by echoed id; a frame for an id that already
+    /// has an answer must repeat it byte for byte, or the exchange fails
+    /// with `InvalidData`. A frame with a work id and an `item` field is
+    /// buffered until the id's first frame without `item`, and the
+    /// answer is all of the id's frames joined by `\n`. Frames without a
+    /// work id are skipped (see the module docs).
+    pub fn exchange<S: AsRef<str>>(
+        &mut self,
+        work: &[(u64, S)],
+        window: usize,
+        answered: &mut BTreeMap<u64, String>,
+    ) -> std::io::Result<()> {
+        let window = window.max(1);
+        let mut streams: BTreeMap<u64, String> = BTreeMap::new();
+        // The last skipped frame: when the server closes the connection,
+        // an id-less error it sent first (e.g. `oversized-frame`) is why.
+        let mut noise: Option<String> = None;
+        let mut next = 0usize;
+        let mut inflight = 0usize;
+        while answered.len() < work.len() {
+            while inflight < window && next < work.len() {
+                let (id, frame) = &work[next];
+                next += 1;
+                if !answered.contains_key(id) {
+                    self.send(frame.as_ref())?;
+                    inflight += 1;
+                }
+            }
+            if inflight == 0 {
+                // Nothing in flight, yet some id unanswered: only a
+                // repeated work id gets here. Waiting would hang.
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "exchange work ids must be distinct",
+                ));
+            }
+            let Some(line) = self.recv()? else {
+                return Err(closed(&match noise {
+                    Some(frame) => {
+                        format!("server closed the connection mid-exchange after {frame}")
+                    }
+                    None => "server closed the connection mid-exchange".to_string(),
+                }));
+            };
+            let Some((id, item)) =
+                response_id(&line).filter(|(id, _)| work.iter().any(|(w, _)| w == id))
+            else {
+                noise = Some(line);
+                continue;
+            };
+            if item {
+                let frames = streams.entry(id).or_default();
+                frames.push_str(&line);
+                frames.push('\n');
+                continue;
+            }
+            let answer = match streams.remove(&id) {
+                Some(mut frames) => {
+                    frames.push_str(&line);
+                    frames
+                }
+                None => line,
+            };
+            match answered.get(&id) {
+                Some(prev) if *prev != answer => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "replay for id {id} got a different response\n  first:  {prev}\n  replay: {answer}"
+                        ),
+                    ));
+                }
+                Some(_) => {} // idempotent replay: identical, drop the dup
+                None => {
+                    answered.insert(id, answer);
+                    inflight = inflight.saturating_sub(1);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The error for a connection the server closed while an answer was owed.
+fn closed(what: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what)
 }
 
 /// Connect/reconnect retry discipline for [`ResilientClient`].
@@ -253,16 +357,12 @@ fn retryable(e: &std::io::Error) -> bool {
 /// The caller supplies work as `(id, frame)` pairs with **distinct
 /// numeric ids from 1 up** (id 0 is reserved for the `hello`; prelude
 /// frames carry their own ids, which must not collide with work ids).
-/// Responses are correlated by echoed id. If the same id is ever
-/// answered twice — which replay after an ill-timed drop can cause — the
-/// two responses are asserted byte-identical; a mismatch means the
-/// server broke its determinism contract and is reported as
-/// `InvalidData`, never papered over.
-///
-/// Noise frames without a numeric id (e.g. a `malformed-frame` error for
-/// a torn frame the fault injector manufactured, or a `read-timeout`
-/// notice) are counted and skipped: they describe the transport, not any
-/// request.
+/// Each connection's share of the work runs through [`Client::exchange`],
+/// so answers are correlated by echoed id, a streamed `batch_bin` is one
+/// work item, an id answered twice must repeat its answer byte for byte
+/// (a mismatch means the server broke its determinism contract and is
+/// reported as `InvalidData`, never papered over), and id-less frames
+/// are skipped as noise.
 pub struct ResilientClient {
     addr: ServerAddr,
     policy: RetryPolicy,
@@ -275,7 +375,6 @@ pub struct ResilientClient {
     conn: Option<Client>,
     reconnects: u64,
     replayed: u64,
-    noise: u64,
 }
 
 impl ResilientClient {
@@ -295,7 +394,6 @@ impl ResilientClient {
             conn: None,
             reconnects: 0,
             replayed: 0,
-            noise: 0,
         }
     }
 
@@ -348,11 +446,6 @@ impl ResilientClient {
     /// How many work frames were re-sent after a drop.
     pub fn replayed(&self) -> u64 {
         self.replayed
-    }
-
-    /// How many id-less noise frames were skipped.
-    pub fn noise_frames(&self) -> u64 {
-        self.noise
     }
 
     /// Connects (with backoff), negotiates v2, and replays the prelude.
@@ -429,14 +522,10 @@ impl ResilientClient {
             .map_err(ConnectError::Io)?;
         while awaited > 0 {
             let line = client.recv().map_err(ConnectError::Io)?.ok_or_else(|| {
-                ConnectError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection during the prelude",
-                ))
+                ConnectError::Io(closed("server closed the connection during the prelude"))
             })?;
-            match response_id(&line) {
-                Some(_) => awaited -= 1,
-                None => self.noise += 1,
+            if response_id(&line).is_some() {
+                awaited -= 1;
             }
         }
         Ok(client)
@@ -445,42 +534,23 @@ impl ResilientClient {
     /// Runs `work` to completion: every id gets exactly one recorded
     /// response, surviving disconnects by reconnecting (backoff) and
     /// replaying whatever was still unanswered. Returns responses keyed
-    /// by id. Fails only when the transport stays down past the retry
+    /// by id; a streamed `batch_bin`'s answer is its frames joined by
+    /// `\n`. Fails only when the transport stays down past the retry
     /// budget with no progress, or on a non-retryable error.
-    pub fn run(&mut self, work: &[(u64, String)]) -> std::io::Result<BTreeMap<u64, String>> {
-        let mut answered: BTreeMap<u64, String> = BTreeMap::new();
-        let mut barren_rounds: u32 = 0;
-        while answered.len() < work.len() {
-            if self.conn.is_none() {
-                self.conn = Some(self.connect()?);
-            }
-            let before = answered.len();
-            let result = self.drive(work, &mut answered);
-            match result {
-                Ok(()) => {}
-                Err(e) if retryable(&e) => {
-                    self.conn = None;
-                    self.reconnects += 1;
-                    if answered.len() > before {
-                        barren_rounds = 0;
-                    } else {
-                        barren_rounds += 1;
-                        if barren_rounds > self.policy.attempts.max(1) {
-                            return Err(std::io::Error::new(
-                                e.kind(),
-                                format!(
-                                    "no progress after {barren_rounds} reconnects \
-                                     ({} of {} answered): {e}",
-                                    answered.len(),
-                                    work.len()
-                                ),
-                            ));
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+    pub fn run<S: AsRef<str>>(
+        &mut self,
+        work: &[(u64, S)],
+    ) -> std::io::Result<BTreeMap<u64, String>> {
+        let window = self.pipeline;
+        let mut answered = BTreeMap::new();
+        if work.is_empty() {
+            return Ok(answered); // nothing to ask: no reason to dial
         }
+        self.reconnecting(
+            &mut answered,
+            |answered| work.len() - answered.len(),
+            |conn, answered| conn.exchange(work, window, answered),
+        )?;
         Ok(answered)
     }
 
@@ -492,165 +562,65 @@ impl ResilientClient {
     /// connection after a reconnect has nothing else in flight, so the
     /// next line is necessarily the answer.
     pub fn run_raw(&mut self, frame: &str) -> std::io::Result<String> {
-        let mut barren_rounds: u32 = 0;
-        loop {
-            if self.conn.is_none() {
-                self.conn = Some(self.connect()?);
-            }
-            let conn = self.conn.as_mut().expect("connection just established");
-            let result = match conn.send(frame) {
-                Ok(()) => conn.recv().and_then(|line| {
-                    line.ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed the connection before responding",
-                        )
-                    })
-                }),
-                Err(e) => Err(e),
-            };
-            match result {
-                Ok(line) => return Ok(line),
-                Err(e) if retryable(&e) => {
-                    self.conn = None;
-                    self.reconnects += 1;
-                    barren_rounds += 1;
-                    if barren_rounds > self.policy.attempts.max(1) {
-                        return Err(std::io::Error::new(
-                            e.kind(),
-                            format!("raw frame unanswered after {barren_rounds} reconnects: {e}"),
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.reconnecting(
+            &mut (),
+            |_| 1,
+            |conn, _| {
+                conn.send(frame)?;
+                conn.recv()?
+                    .ok_or_else(|| closed("server closed the connection before responding"))
+            },
+        )
     }
 
-    /// Runs one *streamed* request (a `batch_bin` with `"stream":true`)
-    /// to completion: sends `frame` and collects every frame answering
-    /// `id` — the per-item frames plus the terminal one (the closing
-    /// tally, or an error) — in arrival order. A transport drop
-    /// mid-stream reconnects (prelude replay included) and replays the
-    /// request from scratch: the server re-runs the whole batch
-    /// deterministically, so partial streams are discarded rather than
-    /// stitched across connections.
-    pub fn run_streamed(&mut self, id: u64, frame: &str) -> std::io::Result<Vec<String>> {
-        let mut barren_rounds: u32 = 0;
-        let mut attempted = false;
-        loop {
-            if self.conn.is_none() {
-                self.conn = Some(self.connect()?);
-            }
-            if attempted {
-                self.replayed += 1;
-            }
-            attempted = true;
-            match self.drive_streamed(id, frame) {
-                Ok(frames) => return Ok(frames),
-                Err(e) if retryable(&e) => {
-                    self.conn = None;
-                    self.reconnects += 1;
-                    barren_rounds += 1;
-                    if barren_rounds > self.policy.attempts.max(1) {
-                        return Err(std::io::Error::new(
-                            e.kind(),
-                            format!("stream for id {id} made no progress after {barren_rounds} reconnects: {e}"),
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One connection's worth of a streamed exchange: send the frame,
-    /// collect frames for `id` until the terminal one (no `item` field).
-    fn drive_streamed(&mut self, id: u64, frame: &str) -> std::io::Result<Vec<String>> {
-        let conn = self
-            .conn
-            .as_mut()
-            .expect("drive_streamed() requires a connection");
-        conn.send(frame)?;
-        let mut frames: Vec<String> = Vec::new();
-        loop {
-            let line = conn.recv()?.ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-stream",
-                )
-            })?;
-            match parse_json(&line).ok() {
-                Some(json) if json.get("id").and_then(Json::as_u64) == Some(id) => {
-                    let terminal = json.get("item").is_none();
-                    frames.push(line);
-                    if terminal {
-                        return Ok(frames);
-                    }
-                }
-                // A different id or no id at all: noise from an earlier
-                // incarnation or the transport — skip it.
-                _ => self.noise += 1,
-            }
-        }
-    }
-
-    /// One connection's worth of progress: pipeline every still-unanswered
-    /// frame through the current connection, recording responses by id.
-    fn drive(
+    /// The reconnect loop: plays `attempt` on the live connection
+    /// (dialing one first when there is none) until it succeeds. A
+    /// retryable failure drops the connection and tries again, replaying
+    /// the `remaining(state)` frames still unanswered. A failure that
+    /// answered nothing is a barren round; more barren rounds in a row
+    /// than the policy's attempt budget end the run.
+    fn reconnecting<S, T>(
         &mut self,
-        work: &[(u64, String)],
-        answered: &mut BTreeMap<u64, String>,
-    ) -> std::io::Result<()> {
-        let pending: Vec<&(u64, String)> = work
-            .iter()
-            .filter(|(id, _)| !answered.contains_key(id))
-            .collect();
-        if pending.len() < work.len() {
-            self.replayed += pending.len() as u64;
-        }
-        let conn = self.conn.as_mut().expect("drive() requires a connection");
-        let window = self.pipeline.max(1);
-        let mut next = 0usize;
-        let mut inflight = 0usize;
-        let mut got = 0usize;
-        while got < pending.len() {
-            while inflight < window && next < pending.len() {
-                conn.send(&pending[next].1)?;
-                next += 1;
-                inflight += 1;
+        state: &mut S,
+        remaining: impl Fn(&S) -> usize,
+        mut attempt: impl FnMut(&mut Client, &mut S) -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        let mut barren_rounds: u32 = 0;
+        let mut dropped = false;
+        loop {
+            let conn = match self.conn.take() {
+                Some(conn) => conn,
+                None => self.connect()?,
+            };
+            let left = remaining(state);
+            if dropped {
+                self.replayed += left as u64;
             }
-            let line = conn.recv()?.ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-pipeline",
-                )
-            })?;
-            match response_id(&line) {
-                Some(id) if work.iter().any(|(w, _)| *w == id) => {
-                    match answered.get(&id) {
-                        Some(prev) if prev != &line => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!(
-                                    "replay for id {id} got a different response\n  first:  {prev}\n  replay: {line}"
-                                ),
-                            ));
-                        }
-                        Some(_) => {} // idempotent replay: identical, drop the dup
-                        None => {
-                            answered.insert(id, line);
-                        }
+            match attempt(self.conn.insert(conn), state) {
+                Ok(done) => return Ok(done),
+                Err(e) if retryable(&e) => {
+                    self.conn = None;
+                    self.reconnects += 1;
+                    dropped = true;
+                    barren_rounds = if remaining(state) < left {
+                        0
+                    } else {
+                        barren_rounds + 1
+                    };
+                    if barren_rounds > self.policy.attempts.max(1) {
+                        return Err(std::io::Error::new(
+                            e.kind(),
+                            format!(
+                                "no progress after {barren_rounds} reconnects \
+                                 ({} request(s) unanswered): {e}",
+                                remaining(state)
+                            ),
+                        ));
                     }
-                    inflight = inflight.saturating_sub(1);
-                    got += 1;
                 }
-                // An id we never sent, or no id at all: transport noise
-                // (e.g. the error for a fault-injected torn frame).
-                _ => self.noise += 1,
+                Err(e) => return Err(e),
             }
         }
-        Ok(())
     }
 }
 
@@ -659,7 +629,10 @@ enum ConnectError {
     RetryAfter(u64),
 }
 
-/// The echoed numeric id of a response frame, if it has one.
-fn response_id(line: &str) -> Option<u64> {
-    parse_json(line).ok()?.get("id").and_then(Json::as_u64)
+/// The echoed numeric id of a response frame, if it has one, and whether
+/// the frame carries an `item` field (one frame of a streamed reply).
+fn response_id(line: &str) -> Option<(u64, bool)> {
+    let json = parse_json(line).ok()?;
+    let id = json.get("id").and_then(Json::as_u64)?;
+    Some((id, json.get("item").is_some()))
 }

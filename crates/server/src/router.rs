@@ -811,8 +811,7 @@ impl Relay {
         let Some(id) = request.id.as_u64() else {
             return self.forward_raw(key, line).map(|f| (f, Control::Continue));
         };
-        let streamed = matches!(op, Op::BatchBin { stream: true, .. });
-        let frames = self.failover(key, |relay, shard| relay.send_on(shard, id, line, streamed))?;
+        let reply = self.failover(key, |relay, shard| relay.send_on(shard, id, line))?;
         if matches!(
             op,
             Op::Hello { .. } | Op::Register { .. } | Op::RegisterBin { .. } | Op::Update { .. }
@@ -823,7 +822,7 @@ impl Relay {
             // every successor handle on the replacement shard.
             self.prelude.push((id, line.to_string()));
         }
-        Ok((frames.join("\n"), Control::Continue))
+        Ok((reply, Control::Continue))
     }
 
     /// Plays a request on its home shard first, then — on breaker-open
@@ -870,7 +869,9 @@ impl Relay {
     /// prelude: missing frames are pushed into the link's reconnect
     /// prelude and — when the link is already connected — also played
     /// onto the live connection (their replies are discarded; the
-    /// client already has the home shard's).
+    /// client already has the home shard's). They are played one at a
+    /// time because a client may reuse an id: a `run` needs distinct
+    /// ids.
     fn sync_link(&mut self, shard: usize) -> std::io::Result<()> {
         if self.links[shard].is_none() {
             let router = &self.router;
@@ -886,39 +887,30 @@ impl Relay {
         }
         let link = self.links[shard].as_mut().expect("link just created");
         if link.synced < self.prelude.len() {
-            let missing: Vec<(u64, String)> = self.prelude[link.synced..].to_vec();
+            let missing = &self.prelude[link.synced..];
             let live = link.client.is_connected();
-            for (_, frame) in &missing {
+            for (_, frame) in missing {
                 link.client.push_prelude(frame.clone());
             }
             link.synced = self.prelude.len();
             if live {
-                link.client.run(&missing)?;
+                for frame in missing {
+                    link.client.run(std::slice::from_ref(frame))?;
+                }
             }
         }
         Ok(())
     }
 
-    /// Plays one request on shard `shard`'s link.
-    fn send_on(
-        &mut self,
-        shard: usize,
-        id: u64,
-        frame: &str,
-        streamed: bool,
-    ) -> std::io::Result<Vec<String>> {
+    /// Plays one request on shard `shard`'s link: its answer, which for
+    /// a streamed `batch_bin` is the whole stream joined by `\n`.
+    fn send_on(&mut self, shard: usize, id: u64, frame: &str) -> std::io::Result<String> {
         let router = Arc::clone(&self.router);
         let _inflight = InflightGuard::enter(&router.inflight[shard]);
         self.sync_link(shard)?;
         let link = self.links[shard].as_mut().expect("link just synced");
-        if streamed {
-            link.client.run_streamed(id, frame)
-        } else {
-            let mut answers = link.client.run(&[(id, frame.to_string())])?;
-            Ok(vec![answers
-                .remove(&id)
-                .expect("run() answers every work id")])
-        }
+        let mut answers = link.client.run(&[(id, frame)])?;
+        Ok(answers.remove(&id).expect("run() answers every work id"))
     }
 
     /// The router's aggregated `stats` reply: the numeric counters of

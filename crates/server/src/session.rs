@@ -607,22 +607,9 @@ impl Session {
         let status = update_status(&self.shared, &old, &new);
         self.handles.insert(new.handle.clone(), Arc::clone(&new));
         let b = ResponseBuilder::new(id, true).str_field("handle", &new.handle);
-        let b = match &status {
-            ItemStatus::TypeChecks => b.str_field("status", "typechecks"),
-            ItemStatus::CounterExample { input, output } => {
-                let b = b
-                    .str_field("status", "counterexample")
-                    .str_field("input", input);
-                match output {
-                    Some(o) => b.str_field("output", o),
-                    None => b.null_field("output"),
-                }
-            }
-            ItemStatus::Error { message } => {
-                b.str_field("status", "error").str_field("message", message)
-            }
-        };
-        b.num_field("components_reused", reused).finish()
+        status_fields(b, &status)
+            .num_field("components_reused", reused)
+            .finish()
     }
 }
 
@@ -809,24 +796,26 @@ fn panic_frame(id: Json, payload: &(dyn std::any::Any + Send)) -> String {
 /// Renders a typecheck status response (shared by `typecheck` results and
 /// mirrored by the per-item records inside batch reports).
 fn status_reply(id: &Json, status: &ItemStatus) -> String {
+    status_fields(ResponseBuilder::new(id, true), status).finish()
+}
+
+/// Appends a verdict's `status` field and its payload: the
+/// counterexample's `input`/`output`, or the error's `message`.
+fn status_fields(b: ResponseBuilder, status: &ItemStatus) -> ResponseBuilder {
     match status {
-        ItemStatus::TypeChecks => ResponseBuilder::new(id, true)
-            .str_field("status", "typechecks")
-            .finish(),
+        ItemStatus::TypeChecks => b.str_field("status", "typechecks"),
         ItemStatus::CounterExample { input, output } => {
-            let b = ResponseBuilder::new(id, true)
+            let b = b
                 .str_field("status", "counterexample")
                 .str_field("input", input);
             match output {
                 Some(o) => b.str_field("output", o),
                 None => b.null_field("output"),
             }
-            .finish()
         }
-        ItemStatus::Error { message } => ResponseBuilder::new(id, true)
-            .str_field("status", "error")
-            .str_field("message", message)
-            .finish(),
+        ItemStatus::Error { message } => {
+            b.str_field("status", "error").str_field("message", message)
+        }
     }
 }
 

@@ -143,10 +143,8 @@ fn run_workload(
     for (round, work) in wl.rounds.iter().enumerate() {
         answers.extend(client.run(work).expect("round completes"));
         let (id, frame) = &wl.streamed[round];
-        streams.insert(
-            *id,
-            client.run_streamed(*id, frame).expect("stream completes"),
-        );
+        let answer = client.run(&[(*id, frame)]).expect("stream completes");
+        streams.insert(*id, answer[id].split('\n').map(String::from).collect());
         if pause {
             std::thread::sleep(ROUND_PAUSE);
         }
@@ -451,4 +449,68 @@ fn router_answers_frame_errors_exactly_like_a_daemon() {
         .join()
         .expect("router thread")
         .expect("router drains cleanly");
+}
+
+/// A client may reuse one id for many `register` frames. A shard link
+/// that is already connected plays the session's new prelude frames
+/// before its next request; with a reused id among them it must neither
+/// take the differing replies for a broken replay nor wait for an answer
+/// it will never get. Either way the fault-free fleet would fail requests
+/// over to another shard.
+#[test]
+fn a_reused_register_id_fails_no_request_over() {
+    let sources = gen::mixed_sources(8, 4, 7).expect("generators print");
+    let runtime = tmp_dir("fleet-reused-id-rt");
+    let router = Router::spawn(RouterConfig {
+        shards: 2,
+        shard_command: Some(vec![env!("CARGO_BIN_EXE_xmltad").to_string()]),
+        runtime_dir: Some(runtime.to_path_buf()),
+        link_read_timeout: Duration::from_secs(5),
+        drain: Duration::from_secs(5),
+        quiet: true,
+        ..RouterConfig::default()
+    })
+    .expect("fleet boots");
+    let sock = TempPath::new("fleet-reused-id-front");
+    let front = Bound::bind(Some(&sock), None).expect("bind router front");
+    let serve = std::thread::spawn({
+        let router = Arc::clone(&router);
+        move || front.serve_router(router)
+    });
+
+    // Every reply first, asserted after the drain, so a failure leaves
+    // no shard process behind.
+    let mut client = Client::connect(&sock).expect("connect router");
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("arm read timeout");
+    let mut frames = vec![proto::req_hello_v2(0, 2, None)];
+    for (_, source) in &sources {
+        frames.push(proto::req_register(1, source));
+    }
+    for (i, (_, source)) in sources.iter().enumerate() {
+        frames.push(proto::req_typecheck_handle(
+            10 + i as u64,
+            &handle_for_source(source),
+        ));
+    }
+    let replies: Vec<String> = frames
+        .iter()
+        .map(|frame| client.roundtrip(frame).expect("router answers"))
+        .collect();
+    let failovers = router.counters.failovers();
+    let ack = client
+        .roundtrip(&proto::req_shutdown(99))
+        .expect("shutdown ack");
+    serve
+        .join()
+        .expect("router serve thread must not panic")
+        .expect("fleet drains cleanly");
+
+    assert!(ack.contains("\"ok\":true"), "shutdown: {ack}");
+    for reply in &replies {
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(!reply.contains("\"error\""), "{reply}");
+    }
+    assert_eq!(failovers, 0, "a fault-free fleet failed requests over");
 }

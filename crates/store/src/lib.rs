@@ -50,29 +50,6 @@ pub struct Store {
     /// Distinguishes temp files written by concurrent threads of this
     /// process (the pid distinguishes processes).
     seq: AtomicU64,
-    /// Health counters for this handle (see [`Store::counters`]).
-    hits: xmlta_obs::Counter,
-    misses: xmlta_obs::Counter,
-    writes: xmlta_obs::Counter,
-    corrupt: xmlta_obs::Counter,
-}
-
-/// A snapshot of one store handle's health counters, so `xmlta store
-/// verify`/`ls` can report store health without a running daemon. The
-/// names mirror the cache-side `store_*` counters in `stats`:
-///
-/// - `hits` — reads that yielded a well-formed entry (backend loads
-///   plus entries that passed [`Store::verify`]);
-/// - `misses` — lookups that found no entry;
-/// - `writes` — entries newly persisted through this handle;
-/// - `corrupt` — entries [`Store::verify`] rejected (undecodable or
-///   misfiled — exactly what a daemon would silently recompile).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StoreCounters {
-    pub hits: u64,
-    pub misses: u64,
-    pub writes: u64,
-    pub corrupt: u64,
 }
 
 /// One store entry, as listed by [`Store::entries`].
@@ -124,26 +101,12 @@ impl Store {
         Ok(Store {
             root,
             seq: AtomicU64::new(0),
-            hits: xmlta_obs::Counter::new(),
-            misses: xmlta_obs::Counter::new(),
-            writes: xmlta_obs::Counter::new(),
-            corrupt: xmlta_obs::Counter::new(),
         })
     }
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// This handle's health counters (see [`StoreCounters`]).
-    pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            writes: self.writes.get(),
-            corrupt: self.corrupt.get(),
-        }
     }
 
     fn path_for(&self, kind: ArtifactKind, key: u64, sigma: usize) -> PathBuf {
@@ -253,8 +216,6 @@ impl Store {
                 }
             }
         }
-        self.hits.add(report.ok as u64);
-        self.corrupt.add(report.corrupt.len() as u64);
         Ok(report)
     }
 
@@ -296,12 +257,8 @@ fn parse_entry_name(path: &Path) -> Option<(u64, usize)> {
 impl ArtifactBackend for Store {
     fn load(&self, kind: ArtifactKind, key: u64, sigma: usize) -> Option<Vec<u8>> {
         let path = self.path_for(kind, key, sigma);
-        let Ok(bytes) = fs::read(&path) else {
-            self.misses.bump();
-            return None;
-        };
+        let bytes = fs::read(&path).ok()?;
         self.touch(&path);
-        self.hits.bump();
         Some(bytes)
     }
 
@@ -316,7 +273,6 @@ impl ArtifactBackend for Store {
             return false;
         }
         self.touch(&path);
-        self.writes.bump();
         true
     }
 }
