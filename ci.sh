@@ -15,6 +15,17 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+echo "== no shard daemon outlives the test suite"
+# In-process fleet tests spawn their shards as
+# `xmltad --socket $TMPDIR/xmlta-*/shard-N.sock`; every test must drain
+# them, a failing one included.
+shard_re="xmltad --socket ${TMPDIR:-/tmp}/xmlta-[^ ]*/shard-[0-9]+[.]sock"
+if leaked="$(ps -eo pid=,args= | grep -E -- "$shard_re")"; then
+    echo "shard daemons leaked by the test suite:"
+    echo "$leaked"
+    exit 1
+fi
+
 echo "== perfbench builds and self-tests against the workspace APIs"
 cargo test --release --manifest-path perfbench/Cargo.toml
 

@@ -11,7 +11,7 @@ use std::fmt;
 /// [`Dfa::complete`] adds an explicit sink. The paper's DFAs have a single
 /// initial state and at most one successor per `(state, letter)`, which is
 /// exactly this representation.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Dfa {
     alphabet_size: usize,
     /// Row-major table: `table[q * alphabet_size + l]`.

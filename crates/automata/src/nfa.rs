@@ -9,7 +9,7 @@ use std::fmt;
 /// States are dense `u32` ids; letters are dense `u32` ids below
 /// [`Nfa::alphabet_size`]. Following the paper, an NFA may have several
 /// initial states and its size is `|Q| + |Σ| + Σ_{q,a} |δ(q,a)|`.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Nfa {
     alphabet_size: usize,
     /// Adjacency: `edges[q]` lists `(letter, target)` pairs.

@@ -12,7 +12,7 @@ use std::fmt;
 use xmlta_base::Alphabet;
 
 /// Abstract syntax of regular expressions over dense letters.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Regex {
     /// The empty language ∅.
     Empty,

@@ -16,7 +16,7 @@ use std::fmt;
 use xmlta_base::{Alphabet, Symbol};
 
 /// One factor of an `RE+` expression: `a` or `a+`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Factor {
     /// The symbol.
     pub sym: Letter,
@@ -25,7 +25,7 @@ pub struct Factor {
 }
 
 /// An `RE+` expression: a sequence of factors (ε factors are dropped).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct RePlus {
     factors: Vec<Factor>,
 }

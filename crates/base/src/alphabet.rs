@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A dense identifier for an alphabet symbol (an XML element name).
@@ -117,6 +118,22 @@ impl Alphabet {
             out.push_str(self.name(*s));
         }
         out
+    }
+}
+
+/// Alphabets are equal when they name the same symbols in the same order;
+/// `by_name` is derived from `names`, so it takes no part.
+impl PartialEq for Alphabet {
+    fn eq(&self, other: &Alphabet) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for Alphabet {}
+
+impl Hash for Alphabet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.names.hash(state);
     }
 }
 

@@ -5,7 +5,7 @@ use xmlta_schema::{Dtd, Nta};
 use xmlta_transducer::Transducer;
 
 /// An input or output schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Schema {
     /// A DTD (Definition 1), over any rule representation.
     Dtd(Dtd),
@@ -32,7 +32,7 @@ impl Schema {
 }
 
 /// A typechecking instance `(S_in, S_out, T)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     /// Shared alphabet (element names) of schemas and transducer.
     pub alphabet: Alphabet,

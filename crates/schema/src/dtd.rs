@@ -1,6 +1,7 @@
 //! DTDs parameterized by a string-language representation (Definition 1).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use xmlta_automata::{Dfa, Nfa, RePlus, Regex};
 use xmlta_base::{Alphabet, FxHashMap, Symbol};
@@ -12,7 +13,7 @@ use xmlta_tree::{Tree, TreePath};
 /// The variants correspond to the classes the paper distinguishes:
 /// `DTD(DFA)`, `DTD(NFA)`, `DTD(RE)` (general regular expressions, used in
 /// examples) and `DTD(RE+)` (Section 5).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum StringLang {
     /// Deterministic finite automaton, shared so that compiled schemas and
     /// caches can hand the same DFA to many DTDs without deep-cloning the
@@ -151,11 +152,21 @@ impl StringLang {
 /// The rule table is shared by `Arc` and copied on the first
 /// [`Dtd::set_rule`] after a clone, so clones of one DTD cost a reference
 /// count until one of them is edited.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dtd {
     alphabet_size: usize,
     start: Symbol,
     rules: Arc<FxHashMap<Symbol, StringLang>>,
+}
+
+/// Hashes the rule table in [`Dtd::sorted_rules`] order, so DTDs that are
+/// `==` hash equal whatever order their rules were inserted in.
+impl Hash for Dtd {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.alphabet_size.hash(state);
+        self.start.hash(state);
+        self.sorted_rules().hash(state);
+    }
 }
 
 impl Dtd {
@@ -283,6 +294,16 @@ impl Dtd {
     /// Iterates over the explicitly defined rules.
     pub fn rules(&self) -> impl Iterator<Item = (Symbol, &StringLang)> {
         self.rules.iter().map(|(&s, l)| (s, l))
+    }
+
+    /// The explicitly defined rules in symbol order — the canonical
+    /// iteration for anything that must be deterministic across equal DTDs
+    /// (printing, encoding, hashing).
+    pub fn sorted_rules(&self) -> Vec<(Symbol, &StringLang)> {
+        let mut rules: Vec<_> = self.rules().collect();
+        // Map keys are distinct, so the unstable sort is deterministic.
+        rules.sort_unstable_by_key(|&(s, _)| s);
+        rules
     }
 
     /// Total size (paper's measure: sum of rule representation sizes).

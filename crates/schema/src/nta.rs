@@ -1,5 +1,6 @@
 //! Non-deterministic unranked tree automata (Definition 2).
 
+use std::hash::{Hash, Hasher};
 use xmlta_automata::Nfa;
 use xmlta_base::{FxHashMap, Symbol};
 use xmlta_tree::Tree;
@@ -9,12 +10,23 @@ use xmlta_tree::Tree;
 /// `δ(q, a)` is a regular language over `Q`, represented by an [`Nfa`] whose
 /// alphabet is the automaton's state set — the paper's `NTA(NFA)`. A missing
 /// entry denotes the empty language.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Nta {
     alphabet_size: usize,
     num_states: usize,
     delta: FxHashMap<(u32, Symbol), Nfa>,
     is_final: Vec<bool>,
+}
+
+/// Hashes the transitions in [`Nta::sorted_transitions`] order, so NTAs
+/// that are `==` hash equal whatever order their entries were set in.
+impl Hash for Nta {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.alphabet_size.hash(state);
+        self.num_states.hash(state);
+        self.is_final.hash(state);
+        self.sorted_transitions().hash(state);
+    }
 }
 
 impl Nta {
@@ -96,10 +108,11 @@ impl Nta {
 
     /// All transition entries in `(q, a)` order — the canonical iteration
     /// for anything that must be deterministic across equal automata
-    /// (printing, structural fingerprints, equality checks).
+    /// (printing, encoding, hashing).
     pub fn sorted_transitions(&self) -> Vec<(u32, Symbol, &Nfa)> {
         let mut entries: Vec<_> = self.transitions().collect();
-        entries.sort_by_key(|&(q, a, _)| (q, a));
+        // Map keys are distinct, so the unstable sort is deterministic.
+        entries.sort_unstable_by_key(|&(q, a, _)| (q, a));
         entries
     }
 

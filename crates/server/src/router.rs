@@ -51,22 +51,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xmlta_obs::Counter;
+use xmlta_service::artifact::fnv1a64;
 use xmlta_service::{parse_json, Json};
 
 /// Virtual nodes per shard on the hash ring: enough that key spread
 /// stays near ideal and a shard's removal scatters its keys evenly over
 /// the survivors.
 pub const VNODES_PER_SHARD: usize = 64;
-
-/// FNV-1a over `bytes` — the key hash feeding the ring.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A consistent-hash ring over `shards` shard indices.
 #[derive(Debug, Clone)]

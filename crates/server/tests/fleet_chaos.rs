@@ -50,6 +50,20 @@ const STALL: Duration = Duration::from_millis(700);
 const ROUND_PAUSE: Duration = Duration::from_millis(120);
 const ROUNDS: usize = 6;
 
+/// Drains the router's fleet when the test thread unwinds before its own
+/// shutdown. The serve thread still holds an `Arc<Router>` then, so the
+/// router's `Drop` backstop never runs and its shard daemons would
+/// outlive the test binary.
+struct DrainOnUnwind(Arc<Router>);
+
+impl Drop for DrainOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.drain_fleet();
+        }
+    }
+}
+
 fn tmp_dir(tag: &str) -> TempPath {
     let dir = TempPath::new(tag);
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -218,6 +232,7 @@ fn fleet_round(seed: u64) {
         ..RouterConfig::default()
     };
     let router = Router::spawn(cfg).expect("fleet boots");
+    let _drain = DrainOnUnwind(Arc::clone(&router));
     let front = TempPath::new(&format!("fleet-unix-front-{seed}"));
     let bound = Bound::bind(Some(&front), None).expect("bind router front");
     let serve = std::thread::spawn({
@@ -406,6 +421,7 @@ fn router_answers_frame_errors_exactly_like_a_daemon() {
         ..RouterConfig::default()
     })
     .expect("fleet boots");
+    let _drain = DrainOnUnwind(Arc::clone(&router));
     let router_sock = TempPath::new("fleet-parity-router");
     let front = Bound::bind(Some(&router_sock), None).expect("bind router front");
     let front = std::thread::spawn(move || front.serve_router(router));
@@ -471,6 +487,7 @@ fn a_reused_register_id_fails_no_request_over() {
         ..RouterConfig::default()
     })
     .expect("fleet boots");
+    let _drain = DrainOnUnwind(Arc::clone(&router));
     let sock = TempPath::new("fleet-reused-id-front");
     let front = Bound::bind(Some(&sock), None).expect("bind router front");
     let serve = std::thread::spawn({

@@ -22,8 +22,8 @@ use xmlta_server::state::{apply_edit, handle_for_source};
 use xmlta_server::{Prepared, Session, Shared};
 use xmlta_service::json::Json;
 use xmlta_service::{
-    encode_instance, fingerprint_instance, gen, instance_eq, parse_instance, parse_json,
-    print_instance, ArtifactBackend, ComponentFingerprints,
+    encode_instance, fingerprint_instance, gen, parse_instance, parse_json, print_instance,
+    ArtifactBackend, ComponentFingerprints,
 };
 use xmlta_store::Store;
 
@@ -371,7 +371,7 @@ fn assert_adopted_equals_reparse(shared: &Shared, printed: &str, handle: &str, w
     assert_eq!(adopted.handle, handle, "{what}: served handle");
     assert_eq!(adopted.handle, handle_for_source(printed), "{what}: handle");
     assert!(
-        instance_eq(&adopted.instance, &reparsed),
+        *adopted.instance == reparsed,
         "{what}: adopted successor differs from its re-parse"
     );
     assert_eq!(

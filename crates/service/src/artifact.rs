@@ -55,8 +55,11 @@ use xmlta_schema::{Dtd, Nta, StringLang};
 /// Magic prefix of every `.xta` artifact.
 pub const MAGIC: &[u8] = b"xta";
 
-/// Current artifact format version.
-pub const VERSION: u8 = 1;
+/// Current artifact format version. Bumped whenever the cache keys an
+/// artifact is filed under change, even with the byte layout unchanged:
+/// version 2 keys are [`crate::cache::fingerprint`]s of the types' `Hash`,
+/// so a version 1 entry reads as stale-versioned instead of misfiled.
+pub const VERSION: u8 = 2;
 
 /// Cap on a declared alphabet size. Artifacts carry no symbol table, so
 /// unlike `.xtb` there is no byte-budget bound tying sigma to the input
@@ -172,8 +175,7 @@ pub fn encode_schema(source: &Dtd, compiled: &Dtd) -> Result<Vec<u8>, BinError> 
     let mut payload = Vec::new();
     put_usize(&mut payload, sigma);
     put_varint(&mut payload, u64::from(source.start().0));
-    let mut rules: Vec<_> = source.rules().collect();
-    rules.sort_by_key(|(s, _)| *s);
+    let rules = source.sorted_rules();
     put_usize(&mut payload, rules.len());
     for (sym, lang) in rules {
         let Some(StringLang::Dfa(dfa)) = compiled.rule(sym) else {
@@ -374,21 +376,14 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact, BinError> {
 /// was filed under, catching stale or misfiled entries that the
 /// checksum (which only covers bytes, not identity) cannot.
 pub fn identity(artifact: &Artifact) -> (ArtifactKind, u64, usize) {
+    use crate::cache::fingerprint;
     match artifact {
         Artifact::Schema { source, .. } => (
             ArtifactKind::Schema,
-            crate::cache::fingerprint_dtd(source),
+            fingerprint(source),
             source.alphabet_size(),
         ),
-        Artifact::Rule { sigma, source, .. } => (
-            ArtifactKind::Rule,
-            crate::cache::fingerprint_lang(source),
-            *sigma,
-        ),
-        Artifact::Bout { sigma, source, .. } => (
-            ArtifactKind::Bout,
-            crate::cache::fingerprint_nta(source),
-            *sigma,
-        ),
+        Artifact::Rule { sigma, source, .. } => (ArtifactKind::Rule, fingerprint(source), *sigma),
+        Artifact::Bout { sigma, source, .. } => (ArtifactKind::Bout, fingerprint(source), *sigma),
     }
 }

@@ -317,8 +317,7 @@ fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
             out.push(0);
             put_usize(out, d.alphabet_size());
             put_varint(out, u64::from(d.start().0));
-            let mut rules: Vec<_> = d.rules().collect();
-            rules.sort_by_key(|(s, _)| *s);
+            let rules = d.sorted_rules();
             put_usize(out, rules.len());
             for (sym, lang) in rules {
                 put_varint(out, u64::from(sym.0));
@@ -429,13 +428,6 @@ fn put_transducer_header(out: &mut Vec<u8>, t: &Transducer) {
     }
 }
 
-/// The canonical rule order: sorted by `(state, symbol)`.
-fn sorted_rules(t: &Transducer) -> Vec<(u32, Symbol, &Rhs)> {
-    let mut rules: Vec<_> = t.rules().collect();
-    rules.sort_by_key(|&(q, a, _)| (q, a));
-    rules
-}
-
 fn put_rule(out: &mut Vec<u8>, q: u32, sym: Symbol, rhs: &Rhs) {
     put_varint(out, u64::from(q));
     put_varint(out, u64::from(sym.0));
@@ -445,7 +437,7 @@ fn put_rule(out: &mut Vec<u8>, q: u32, sym: Symbol, rhs: &Rhs) {
 
 fn put_transducer(out: &mut Vec<u8>, t: &Transducer) {
     put_transducer_header(out, t);
-    let rules = sorted_rules(t);
+    let rules = t.sorted_rules();
     put_usize(out, rules.len());
     for (q, sym, rhs) in rules {
         put_rule(out, q, sym, rhs);
@@ -531,8 +523,8 @@ where
                 // in canonical `(q, sym)` order, so a sorted merge yields
                 // the removed keys and the set (added/replaced) rules in
                 // the order the decoder requires.
-                let old = sorted_rules(&prev_inst.transducer);
-                let new = sorted_rules(&instance.transducer);
+                let old = prev_inst.transducer.sorted_rules();
+                let new = instance.transducer.sorted_rules();
                 let mut removed: Vec<(u32, Symbol)> = Vec::new();
                 let mut set: Vec<(u32, Symbol, &Rhs)> = Vec::new();
                 let (mut i, mut j) = (0, 0);

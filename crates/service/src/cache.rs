@@ -5,23 +5,26 @@
 //! Batch workloads repeat schemas across thousands of instances, so the
 //! service layer compiles each schema once and shares the result:
 //!
-//! * **schema level** — a DTD is fingerprinted structurally; a hit returns
-//!   the previously compiled `DTD(DFA)` (an `Arc` bump);
-//! * **rule level** — on a schema miss, each rule is looked up by its own
-//!   fingerprint, so two schemas sharing a rule share one compiled
-//!   [`Dfa`]. Rules are stored as [`StringLang::Dfa`]`(Arc<Dfa>)`, which the
-//!   Lemma 14 engine adopts without cloning (`to_shared_dfa` is an `Arc`
-//!   bump on already-compiled rules);
-//! * **tree-automata level** — NTA output schemas are fingerprinted the
-//!   same way and the Theorem 20 pipeline's `B_out` product (the
-//!   `#`-eliminated complement, quadratic to build) is cached per
-//!   `(schema, joint alphabet)` key, `DTAc` validation verdict included.
+//! * **schema level** — a DTD hit returns the previously compiled
+//!   `DTD(DFA)` (an `Arc` bump);
+//! * **rule level** — on a schema miss, each rule is looked up on its own,
+//!   so two schemas sharing a rule share one compiled [`Dfa`]. Rules are
+//!   stored as [`StringLang::Dfa`]`(Arc<Dfa>)`, which the Lemma 14 engine
+//!   adopts without cloning (`to_shared_dfa` is an `Arc` bump on
+//!   already-compiled rules);
+//! * **tree-automata level** — the Theorem 20 pipeline's `B_out` product
+//!   for an NTA output schema (the `#`-eliminated complement, quadratic to
+//!   build) is cached per `(schema, joint alphabet)` key, `DTAc`
+//!   validation verdict included.
 //!
-//! Keys pair the alphabet size with a 64-bit Fx fingerprint of the full
-//! structure (content hashes — all rule tables, finals, AST shapes — not
-//! names), so equal content hits regardless of which parse produced it.
+//! Structural identity is the types' own: "same content" is `==`
+//! (`PartialEq`/`Eq` on [`Dtd`], [`Nta`], [`StringLang`], [`Instance`], …)
+//! and every key is [`fingerprint`], an Fx hash of the value's `Hash`. The
+//! types define both from their fields — hash-map fields in canonical
+//! order — so values that are `==` fingerprint equal whichever parse or
+//! edit produced them. Keys pair the fingerprint with the alphabet size.
 //! The three levels are three tables run by one protocol
-//! (`SchemaCache::product`): each hit verifies its source structurally, a
+//! (`SchemaCache::product`): each hit verifies its source with `==`, a
 //! miss builds outside the lock with the mounted [`ArtifactBackend`] read
 //! through and written behind, and a collided slot is served uncached.
 //!
@@ -31,25 +34,22 @@
 //! key from registration, so a memo probe for them hashes nothing; and
 //! since a registered instance is one shared `Arc`, its hits verify by
 //! pointer identity first. Every other hit — an inline source, a `.xts`
-//! item, an equal instance parsed twice — is verified structurally
-//! ([`instance_eq`]), so a 64-bit collision is a miss, never a wrong
-//! verdict.
+//! item, an equal instance parsed twice — is verified with `==`, so a
+//! 64-bit collision is a miss, never a wrong verdict.
 
 use crate::artifact::{self, Artifact, ArtifactKind};
 use crate::batch::ItemStatus;
 use crate::lru::Lru;
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use typecheck_core::{delrelab, Instance, Outcome, Schema, TypecheckError};
-use xmlta_automata::{Dfa, Nfa, Regex};
+use xmlta_automata::Dfa;
 use xmlta_base::fxhash::FxHasher;
-use xmlta_base::FxHashMap;
+use xmlta_base::{FxHashMap, Symbol};
 use xmlta_schema::{Dtd, Nta, StringLang};
-use xmlta_transducer::{Rhs, RhsNode, Selector, Transducer};
-use xmlta_xpath::{Axis, Expr, Pattern};
-
-use std::hash::Hasher;
+use xmlta_transducer::Rhs;
 
 /// Default capacity of the typecheck result memo (distinct instances).
 pub const DEFAULT_MEMO_CAPACITY: usize = 8192;
@@ -112,8 +112,8 @@ type BoutEntry = Result<Arc<Nta>, TypecheckError>;
 
 /// One compiled-product table. A slot keyed `(fingerprint, sigma)` keeps
 /// the *source* alongside its product: every fingerprint hit verifies the
-/// source structurally, so a 64-bit collision degrades to an uncached
-/// build instead of silently serving another source's product.
+/// source with `==`, so a 64-bit collision degrades to an uncached build
+/// instead of silently serving another source's product.
 struct Table<S, P> {
     slots: FxHashMap<(u64, usize), (S, P)>,
     hits: u64,
@@ -131,11 +131,10 @@ impl<S, P> Default for Table<S, P> {
 }
 
 /// What distinguishes one product table from another in
-/// [`SchemaCache::product`]: where the table lives, how sources compare,
-/// and how a product travels through the store.
+/// [`SchemaCache::product`]: where the table lives and how a product
+/// travels through the store.
 struct Kind<S, P> {
     table: fn(&mut Inner) -> &mut Table<S, P>,
-    same: fn(&S, &S) -> bool,
     artifact: ArtifactKind,
     /// The span a miss runs under.
     span: &'static str,
@@ -149,7 +148,6 @@ struct Kind<S, P> {
 
 const SCHEMAS: Kind<Dtd, Arc<Dtd>> = Kind {
     table: |inner| &mut inner.schemas,
-    same: dtd_eq,
     artifact: ArtifactKind::Schema,
     span: "compile",
     restore: |artifact| match artifact {
@@ -163,7 +161,6 @@ const SCHEMAS: Kind<Dtd, Arc<Dtd>> = Kind {
 
 const RULES: Kind<StringLang, Arc<Dfa>> = Kind {
     table: |inner| &mut inner.rules,
-    same: lang_eq,
     artifact: ArtifactKind::Rule,
     span: "compile",
     restore: |artifact| match artifact {
@@ -179,7 +176,6 @@ const RULES: Kind<StringLang, Arc<Dfa>> = Kind {
 
 const BOUTS: Kind<Nta, BoutEntry> = Kind {
     table: |inner| &mut inner.bouts,
-    same: nta_eq,
     artifact: ArtifactKind::Bout,
     span: "delrelab",
     restore: |artifact| match artifact {
@@ -262,11 +258,11 @@ impl SchemaCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The product for `source` from `kind`'s table under `key` =
-    /// `(fingerprint, sigma)`, built by `build` at most once per distinct
-    /// source:
+    /// The product for `source` from `kind`'s table under the key
+    /// `(`[`fingerprint`]`(source), sigma)`, built by `build` at most once
+    /// per distinct source:
     ///
-    /// 1. a slot whose occupant is structurally equal to `source` is a hit;
+    /// 1. a slot whose occupant is `==` to `source` is a hit;
     /// 2. anything else is a miss, run under `kind.span`. A slot owned by
     ///    a *different* source (a 64-bit collision, ~2^-64 per pair) is
     ///    served a fresh build, uncached and never sent to the store —
@@ -279,18 +275,19 @@ impl SchemaCache {
     ///
     /// `build` and all store I/O run outside the lock, so a racing miss
     /// can build twice but never corrupts the cache.
-    fn product<S: Clone, P: Clone>(
+    fn product<S: Clone + Eq + Hash, P: Clone>(
         &self,
         kind: &Kind<S, P>,
-        key: (u64, usize),
+        sigma: usize,
         source: &S,
         build: impl FnOnce() -> P,
     ) -> P {
+        let key = (fingerprint(source), sigma);
         let collided = {
             let mut inner = self.lock();
             let table = (kind.table)(&mut inner);
             match table.slots.get(&key) {
-                Some((occupant, hit)) if (kind.same)(occupant, source) => {
+                Some((occupant, hit)) if occupant == source => {
                     let hit = hit.clone();
                     table.hits += 1;
                     return hit;
@@ -322,7 +319,7 @@ impl SchemaCache {
         };
         let mut inner = self.lock();
         match (kind.table)(&mut inner).slots.entry(key) {
-            Entry::Occupied(e) if !(kind.same)(&e.get().0, source) => product,
+            Entry::Occupied(e) if e.get().0 != *source => product,
             slot => slot.or_insert((source.clone(), product)).1.clone(),
         }
     }
@@ -331,7 +328,7 @@ impl SchemaCache {
     /// against the query exactly like an in-memory hit verifies its
     /// source. Absent → `store_misses`; present but undecodable or
     /// unverifiable → `store_corrupt` (never fatal: the caller rebuilds).
-    fn store_load<S, P>(&self, kind: &Kind<S, P>, key: (u64, usize), source: &S) -> Option<P> {
+    fn store_load<S: Eq, P>(&self, kind: &Kind<S, P>, key: (u64, usize), source: &S) -> Option<P> {
         let store = self.store.as_ref()?;
         let _span = xmlta_obs::span("store");
         let Some(bytes) = store.load(kind.artifact, key.0, key.1) else {
@@ -341,7 +338,7 @@ impl SchemaCache {
         let product = artifact::decode(&bytes)
             .ok()
             .and_then(kind.restore)
-            .filter(|(sigma, stored, _)| *sigma == key.1 && (kind.same)(stored, source))
+            .filter(|(sigma, stored, _)| *sigma == key.1 && stored == source)
             .map(|(_, _, product)| product);
         let mut inner = self.lock();
         match product {
@@ -356,12 +353,14 @@ impl SchemaCache {
     /// of the stored verdict — byte-identical to what recomputation would
     /// render, because the stored verdict *was* computed from an instance
     /// verified equal: the very same allocation (pointer identity, the
-    /// registered-handle case), or else structurally equal. A colliding
+    /// registered-handle case), or else `==`. A colliding
     /// fingerprint counts as a miss, never as a wrong answer.
     pub fn memo_lookup(&self, fp: u64, instance: &Instance) -> Option<ItemStatus> {
         let mut inner = self.lock();
         match inner.memo.get(&fp) {
-            Some((source, status)) if same_instance(source, instance) => {
+            Some((source, status))
+                if std::ptr::eq(&**source, instance) || **source == *instance =>
+            {
                 let status = status.clone();
                 inner.tallies.memo_hits += 1;
                 Some(status)
@@ -379,7 +378,7 @@ impl SchemaCache {
     pub fn memo_insert(&self, fp: u64, instance: &Arc<Instance>, status: &ItemStatus) {
         let mut inner = self.lock();
         if let Some((source, _)) = inner.memo.get(&fp) {
-            if !same_instance(source, instance) {
+            if !Arc::ptr_eq(source, instance) && source != instance {
                 return;
             }
         }
@@ -402,11 +401,9 @@ impl SchemaCache {
     /// previously compiled schemas and rules.
     pub fn compile_dtd(&self, dtd: &Dtd) -> Arc<Dtd> {
         let sigma = dtd.alphabet_size();
-        self.product(&SCHEMAS, (fingerprint_dtd(dtd), sigma), dtd, || {
+        self.product(&SCHEMAS, sigma, dtd, || {
             let mut compiled = Dtd::new(sigma, dtd.start());
-            let mut rules: Vec<_> = dtd.rules().collect();
-            rules.sort_by_key(|(s, _)| *s);
-            for (sym, lang) in rules {
+            for (sym, lang) in dtd.sorted_rules() {
                 compiled.set_rule(sym, StringLang::Dfa(self.compile_rule(lang, sigma)));
             }
             Arc::new(compiled)
@@ -420,9 +417,7 @@ impl SchemaCache {
         if let StringLang::Dfa(_) = lang {
             return lang.to_shared_dfa(sigma);
         }
-        self.product(&RULES, (fingerprint_lang(lang), sigma), lang, || {
-            lang.to_shared_dfa(sigma)
-        })
+        self.product(&RULES, sigma, lang, || lang.to_shared_dfa(sigma))
     }
 
     /// The Theorem 20 `B_out` product for output automaton `aout` over the
@@ -434,7 +429,7 @@ impl SchemaCache {
     /// the quadratic jump-pair construction the same way DTD workloads
     /// amortize rule compilation.
     pub fn delrelab_bout(&self, aout: &Nta, sigma: usize) -> Result<Arc<Nta>, TypecheckError> {
-        self.product(&BOUTS, (fingerprint_nta(aout), sigma), aout, || {
+        self.product(&BOUTS, sigma, aout, || {
             delrelab::require_dtac(aout).map(|()| Arc::new(delrelab::bout_product(aout, sigma)))
         })
     }
@@ -506,152 +501,12 @@ pub fn typecheck_cached(
     typecheck_core::typecheck_parts(&input, &output, &instance.transducer, alphabet_size)
 }
 
-/// Structural equality of two DTDs (the cache-hit verification; see
-/// [`Table`]).
-fn dtd_eq(a: &Dtd, b: &Dtd) -> bool {
-    if a.alphabet_size() != b.alphabet_size() || a.start() != b.start() {
-        return false;
-    }
-    if a.shares_rules_with(b) {
-        return true;
-    }
-    let mut ra: Vec<_> = a.rules().collect();
-    let mut rb: Vec<_> = b.rules().collect();
-    ra.sort_by_key(|(s, _)| *s);
-    rb.sort_by_key(|(s, _)| *s);
-    ra.len() == rb.len()
-        && ra
-            .iter()
-            .zip(&rb)
-            .all(|((sa, la), (sb, lb))| sa == sb && lang_eq(la, lb))
-}
-
-/// Structural equality of two rule languages.
-fn lang_eq(a: &StringLang, b: &StringLang) -> bool {
-    match (a, b) {
-        (StringLang::Dfa(x), StringLang::Dfa(y)) => dfa_eq(x, y),
-        (StringLang::Nfa(x), StringLang::Nfa(y)) => nfa_eq(x, y),
-        (StringLang::Regex(x), StringLang::Regex(y)) => x == y,
-        (StringLang::RePlus(x), StringLang::RePlus(y)) => x == y,
-        _ => false,
-    }
-}
-
-/// Structural equality of two NFAs.
-fn nfa_eq(x: &Nfa, y: &Nfa) -> bool {
-    x.num_states() == y.num_states()
-        && x.alphabet_size() == y.alphabet_size()
-        && x.initial_states() == y.initial_states()
-        && (0..x.num_states() as u32).all(|q| {
-            x.is_final_state(q) == y.is_final_state(q)
-                && x.transitions_from(q) == y.transitions_from(q)
-        })
-}
-
-/// Structural equality of two NTAs (transition entries compared in
-/// canonical `(state, symbol)` order).
-fn nta_eq(a: &Nta, b: &Nta) -> bool {
-    if a.alphabet_size() != b.alphabet_size() || a.num_states() != b.num_states() {
-        return false;
-    }
-    if !(0..a.num_states() as u32).all(|q| a.is_final_state(q) == b.is_final_state(q)) {
-        return false;
-    }
-    let ta = a.sorted_transitions();
-    let tb = b.sorted_transitions();
-    ta.len() == tb.len()
-        && ta
-            .iter()
-            .zip(&tb)
-            .all(|((qa, sa, na), (qb, sb, nb))| qa == qb && sa == sb && nfa_eq(na, nb))
-}
-
-fn dfa_eq(a: &Dfa, b: &Dfa) -> bool {
-    a.num_states() == b.num_states()
-        && a.alphabet_size() == b.alphabet_size()
-        && a.initial_state() == b.initial_state()
-        && (0..a.num_states() as u32).all(|q| {
-            a.is_final_state(q) == b.is_final_state(q)
-                && (0..a.alphabet_size() as u32).all(|l| a.step(q, l) == b.step(q, l))
-        })
-}
-
-/// Structural fingerprint of a DTD: alphabet size, start symbol, and every
-/// rule in symbol order.
-pub fn fingerprint_dtd(dtd: &Dtd) -> u64 {
+/// The structural fingerprint of `value`: its [`Hash`] fed to an
+/// [`FxHasher`]. Every cache key and store file name is one, so values that
+/// are `==` fingerprint equal by construction (see the module docs).
+pub fn fingerprint<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = FxHasher::default();
-    h.write_u64(0xD7D0);
-    h.write_u64(dtd.alphabet_size() as u64);
-    h.write_u32(dtd.start().0);
-    let mut rules: Vec<_> = dtd.rules().collect();
-    rules.sort_by_key(|(s, _)| *s);
-    for (sym, lang) in rules {
-        h.write_u32(sym.0);
-        h.write_u64(fingerprint_lang(lang));
-    }
-    h.finish()
-}
-
-/// Structural fingerprint of a rule language.
-pub fn fingerprint_lang(lang: &StringLang) -> u64 {
-    let mut h = FxHasher::default();
-    match lang {
-        StringLang::Dfa(d) => {
-            h.write_u8(0);
-            hash_dfa(&mut h, d);
-        }
-        StringLang::Nfa(n) => {
-            h.write_u8(1);
-            hash_nfa(&mut h, n);
-        }
-        StringLang::Regex(re) => {
-            h.write_u8(2);
-            hash_regex(&mut h, re);
-        }
-        StringLang::RePlus(re) => {
-            h.write_u8(3);
-            for f in re.factors() {
-                h.write_u32(f.sym);
-                h.write_u8(f.plus as u8);
-            }
-        }
-    }
-    h.finish()
-}
-
-fn hash_nfa(h: &mut FxHasher, n: &Nfa) {
-    h.write_u64(n.num_states() as u64);
-    for &q in n.initial_states() {
-        h.write_u32(q);
-    }
-    h.write_u8(0xFE);
-    for q in n.final_states() {
-        h.write_u32(q);
-    }
-    h.write_u8(0xFD);
-    for (q, l, r) in n.transitions() {
-        h.write_u32(q);
-        h.write_u32(l);
-        h.write_u32(r);
-    }
-}
-
-/// Structural fingerprint of an NTA: alphabet size, state count, finals,
-/// and every transition entry in canonical `(state, symbol)` order.
-pub fn fingerprint_nta(nta: &Nta) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(0x27A0);
-    h.write_u64(nta.alphabet_size() as u64);
-    h.write_u64(nta.num_states() as u64);
-    for q in nta.final_states() {
-        h.write_u32(q);
-    }
-    h.write_u8(0xFC);
-    for (q, sym, nfa) in nta.sorted_transitions() {
-        h.write_u32(q);
-        h.write_u32(sym.0);
-        hash_nfa(&mut h, nfa);
-    }
+    value.hash(&mut h);
     h.finish()
 }
 
@@ -670,103 +525,35 @@ pub fn fingerprint_instance(instance: &Instance) -> u64 {
     ComponentFingerprints::of(instance).combined()
 }
 
-/// Fingerprint of an alphabet section (names in index order).
-pub fn fingerprint_alphabet(a: &xmlta_base::Alphabet) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(0xA1FA);
-    h.write_u64(a.len() as u64);
-    for s in a.symbols() {
-        h.write(a.name(s).as_bytes());
-        h.write_u8(0xFF);
-    }
-    h.finish()
-}
-
-/// Fingerprint of a schema section. DTD and NTA salts differ, so the
-/// variants cannot collide.
-pub fn fingerprint_schema(schema: &Schema) -> u64 {
-    match schema {
-        Schema::Dtd(d) => fingerprint_dtd(d),
-        Schema::Nta(n) => fingerprint_nta(n),
-    }
-}
-
-/// Fingerprint of the transducer *header*: state names, initial state,
-/// alphabet size, and the selector table — everything about the transducer
-/// except its rules, which are fingerprinted one by one
-/// ([`fingerprint_rule`]).
-pub fn fingerprint_transducer_header(t: &Transducer) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(0x7EAD);
-    h.write_u64(t.num_states() as u64);
-    for name in t.state_names() {
-        h.write(name.as_bytes());
-        h.write_u8(0xFF);
-    }
-    h.write_u32(t.initial_state());
-    h.write_u64(t.alphabet_size() as u64);
-    for sel in t.selectors() {
-        match sel {
-            Selector::XPath(p) => {
-                h.write_u8(0);
-                hash_pattern(&mut h, p);
-            }
-            Selector::Dfa(d) => {
-                h.write_u8(1);
-                hash_dfa(&mut h, d);
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Fingerprint of one transducer rule `rhs(q, a)`.
-pub fn fingerprint_rule(q: u32, a: xmlta_base::Symbol, rhs: &Rhs) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(0x12E1);
-    h.write_u32(q);
-    h.write_u32(a.0);
-    h.write_u64(rhs.nodes.len() as u64);
-    rhs.nodes.iter().for_each(|n| hash_rhs_node(&mut h, n));
-    h.finish()
-}
-
 /// The per-component fingerprints of an instance: alphabet, each schema
-/// section, the transducer header, and every transducer rule separately.
-/// Two versions of an instance share exactly the components whose
-/// fingerprints coincide — the unit of reuse the `update` op reports via
-/// its `components_reused` counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// section, the transducer header (state names, initial state, alphabet
+/// size and selector table), and every transducer rule `(q, a, rhs)`
+/// separately. Two versions of an instance share exactly the components
+/// whose fingerprints coincide — the unit of reuse the `update` op reports
+/// via its `components_reused` counter.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ComponentFingerprints {
     pub alphabet: u64,
     pub input: u64,
     pub output: u64,
     pub transducer_header: u64,
     /// Per-rule fingerprints in canonical `(state, symbol)` order.
-    pub rules: Vec<((u32, xmlta_base::Symbol), u64)>,
+    pub rules: Vec<((u32, Symbol), u64)>,
 }
 
 impl ComponentFingerprints {
     /// Computes every component fingerprint of `instance`.
     pub fn of(instance: &Instance) -> ComponentFingerprints {
-        let mut rules: Vec<((u32, xmlta_base::Symbol), u64)> = instance
-            .transducer
-            .rules()
-            .map(|(q, a, rhs)| ((q, a), fingerprint_rule(q, a, rhs)))
-            .collect();
-        rules.sort_by_key(|&(k, _)| k);
-        ComponentFingerprints {
-            alphabet: fingerprint_alphabet(&instance.alphabet),
-            input: fingerprint_schema(&instance.input),
-            output: fingerprint_schema(&instance.output),
-            transducer_header: fingerprint_transducer_header(&instance.transducer),
-            rules,
-        }
+        let [input, output] = [&instance.input, &instance.output].map(fingerprint);
+        ComponentFingerprints::assemble(instance, input, output, |q, a, rhs| {
+            fingerprint(&(q, a, rhs))
+        })
     }
 
     /// [`ComponentFingerprints::of`] for `instance`, an edit of `prev`
     /// whose fingerprints are `prev_fps`. A rule `instance` shares with
-    /// `prev` (the same allocation, as an edited [`Transducer`] shares its
+    /// `prev` (the same allocation, as an edited
+    /// [`Transducer`](xmlta_transducer::Transducer) shares its
     /// untouched rules) keeps its fingerprint, and so does a DTD that
     /// shares `prev`'s rule table, start and alphabet size; everything
     /// else is hashed. Equal to `of(instance)` whenever `prev_fps` equals
@@ -784,49 +571,54 @@ impl ComponentFingerprints {
             {
                 old_fp
             }
-            _ => fingerprint_schema(new),
+            _ => fingerprint(new),
         };
-        let mut rules: Vec<((u32, xmlta_base::Symbol), u64)> = instance
-            .transducer
-            .rules()
-            .map(|(q, a, rhs)| {
-                let reused = prev
-                    .transducer
-                    .rule(q, a)
-                    .filter(|old| std::ptr::eq(*old, rhs))
-                    .and_then(|_| {
-                        let i = prev_fps.rules.binary_search_by_key(&(q, a), |&(k, _)| k);
-                        i.ok().map(|i| prev_fps.rules[i].1)
-                    });
-                let fp = reused.unwrap_or_else(|| fingerprint_rule(q, a, rhs));
-                ((q, a), fp)
-            })
-            .collect();
-        rules.sort_by_key(|&(k, _)| k);
+        let input = schema(&instance.input, &prev.input, prev_fps.input);
+        let output = schema(&instance.output, &prev.output, prev_fps.output);
+        ComponentFingerprints::assemble(instance, input, output, |q, a, rhs| {
+            prev.transducer
+                .rule(q, a)
+                .filter(|old| std::ptr::eq(*old, rhs))
+                .and_then(|_| {
+                    let i = prev_fps.rules.binary_search_by_key(&(q, a), |&(k, _)| k);
+                    i.ok().map(|i| prev_fps.rules[i].1)
+                })
+                .unwrap_or_else(|| fingerprint(&(q, a, rhs)))
+        })
+    }
+
+    /// The fingerprints of `instance` given its schemas', with each rule's
+    /// from `rule`.
+    fn assemble(
+        instance: &Instance,
+        input: u64,
+        output: u64,
+        mut rule: impl FnMut(u32, Symbol, &Rhs) -> u64,
+    ) -> ComponentFingerprints {
+        let t = &instance.transducer;
+        let header = (
+            t.state_names(),
+            t.initial_state(),
+            t.alphabet_size(),
+            t.selectors(),
+        );
         ComponentFingerprints {
-            alphabet: fingerprint_alphabet(&instance.alphabet),
-            input: schema(&instance.input, &prev.input, prev_fps.input),
-            output: schema(&instance.output, &prev.output, prev_fps.output),
-            transducer_header: fingerprint_transducer_header(&instance.transducer),
-            rules,
+            alphabet: fingerprint(&instance.alphabet),
+            input,
+            output,
+            transducer_header: fingerprint(&header),
+            rules: t
+                .sorted_rules()
+                .into_iter()
+                .map(|(q, a, rhs)| ((q, a), rule(q, a, rhs)))
+                .collect(),
         }
     }
 
     /// The whole-instance fingerprint (the result-memo key), combined from
     /// the components.
     pub fn combined(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(0x1257);
-        h.write_u64(self.alphabet);
-        h.write_u64(self.input);
-        h.write_u64(self.output);
-        h.write_u64(self.transducer_header);
-        for &((q, a), fp) in &self.rules {
-            h.write_u32(q);
-            h.write_u32(a.0);
-            h.write_u64(fp);
-        }
-        h.finish()
+        fingerprint(self)
     }
 
     /// How many of `self`'s components carry a fingerprint identical to a
@@ -852,173 +644,6 @@ impl ComponentFingerprints {
             }
         }
         n
-    }
-}
-
-fn hash_rhs_node(h: &mut FxHasher, node: &RhsNode) {
-    match node {
-        RhsNode::Elem(sym, children) => {
-            h.write_u8(0);
-            h.write_u32(sym.0);
-            h.write_u64(children.len() as u64);
-            children.iter().for_each(|c| hash_rhs_node(h, c));
-        }
-        RhsNode::State(q) => {
-            h.write_u8(1);
-            h.write_u32(*q);
-        }
-        RhsNode::Select(q, sel) => {
-            h.write_u8(2);
-            h.write_u32(*q);
-            h.write_u32(*sel);
-        }
-    }
-}
-
-fn hash_pattern(h: &mut FxHasher, p: &Pattern) {
-    h.write_u8(match p.axis {
-        Axis::Child => 0,
-        Axis::Descendant => 1,
-    });
-    hash_expr(h, &p.expr);
-}
-
-fn hash_expr(h: &mut FxHasher, e: &Expr) {
-    match e {
-        Expr::Disj(a, b) => {
-            h.write_u8(0);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Child(a, b) => {
-            h.write_u8(1);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Desc(a, b) => {
-            h.write_u8(2);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Filter(e, p) => {
-            h.write_u8(3);
-            hash_expr(h, e);
-            hash_pattern(h, p);
-        }
-        Expr::Test(s) => {
-            h.write_u8(4);
-            h.write_u32(s.0);
-        }
-        Expr::Wildcard => h.write_u8(5),
-    }
-}
-
-/// The memo's slot verification: the occupant is the very instance probed
-/// (one `Arc`, so no walk is needed), or else structurally equal to it.
-fn same_instance(occupant: &Arc<Instance>, instance: &Instance) -> bool {
-    std::ptr::eq(&**occupant, instance) || instance_eq(occupant, instance)
-}
-
-/// Structural equality of two whole instances (the memo-hit verification):
-/// same alphabet names in the same order, same schemas, same transducer.
-pub fn instance_eq(a: &Instance, b: &Instance) -> bool {
-    alphabet_eq(&a.alphabet, &b.alphabet)
-        && schema_eq(&a.input, &b.input)
-        && schema_eq(&a.output, &b.output)
-        && transducer_eq(&a.transducer, &b.transducer)
-}
-
-fn alphabet_eq(a: &xmlta_base::Alphabet, b: &xmlta_base::Alphabet) -> bool {
-    a.len() == b.len() && a.symbols().all(|s| a.name(s) == b.name(s))
-}
-
-fn schema_eq(a: &Schema, b: &Schema) -> bool {
-    match (a, b) {
-        (Schema::Dtd(x), Schema::Dtd(y)) => dtd_eq(x, y),
-        (Schema::Nta(x), Schema::Nta(y)) => nta_eq(x, y),
-        _ => false,
-    }
-}
-
-fn transducer_eq(a: &Transducer, b: &Transducer) -> bool {
-    if a.state_names() != b.state_names()
-        || a.initial_state() != b.initial_state()
-        || a.alphabet_size() != b.alphabet_size()
-        || a.selectors().len() != b.selectors().len()
-    {
-        return false;
-    }
-    if !a
-        .selectors()
-        .iter()
-        .zip(b.selectors())
-        .all(|(x, y)| selector_eq(x, y))
-    {
-        return false;
-    }
-    sorted_rules(a) == sorted_rules(b)
-}
-
-/// All transducer rules in canonical `(state, symbol)` order.
-fn sorted_rules(t: &Transducer) -> Vec<(u32, xmlta_base::Symbol, &Rhs)> {
-    let mut rules: Vec<_> = t.rules().collect();
-    rules.sort_by_key(|&(q, s, _)| (q, s));
-    rules
-}
-
-fn selector_eq(a: &Selector, b: &Selector) -> bool {
-    match (a, b) {
-        (Selector::XPath(x), Selector::XPath(y)) => x == y,
-        (Selector::Dfa(x), Selector::Dfa(y)) => dfa_eq(x, y),
-        _ => false,
-    }
-}
-
-fn hash_dfa(h: &mut FxHasher, d: &Dfa) {
-    h.write_u64(d.num_states() as u64);
-    h.write_u64(d.alphabet_size() as u64);
-    h.write_u32(d.initial_state());
-    for q in 0..d.num_states() as u32 {
-        h.write_u8(d.is_final_state(q) as u8);
-        for l in 0..d.alphabet_size() as u32 {
-            match d.step(q, l) {
-                Some(r) => h.write_u32(r),
-                None => h.write_u32(u32::MAX),
-            }
-        }
-    }
-}
-
-fn hash_regex(h: &mut FxHasher, re: &Regex) {
-    match re {
-        Regex::Empty => h.write_u8(0),
-        Regex::Epsilon => h.write_u8(1),
-        Regex::Sym(l) => {
-            h.write_u8(2);
-            h.write_u32(*l);
-        }
-        Regex::Concat(rs) => {
-            h.write_u8(3);
-            h.write_u64(rs.len() as u64);
-            rs.iter().for_each(|r| hash_regex(h, r));
-        }
-        Regex::Alt(rs) => {
-            h.write_u8(4);
-            h.write_u64(rs.len() as u64);
-            rs.iter().for_each(|r| hash_regex(h, r));
-        }
-        Regex::Star(r) => {
-            h.write_u8(5);
-            hash_regex(h, r);
-        }
-        Regex::Plus(r) => {
-            h.write_u8(6);
-            hash_regex(h, r);
-        }
-        Regex::Opt(r) => {
-            h.write_u8(7);
-            hash_regex(h, r);
-        }
     }
 }
 
@@ -1082,8 +707,8 @@ mod tests {
             &mut a,
         )
         .unwrap();
-        assert_ne!(fingerprint_dtd(&d), fingerprint_dtd(&d2));
-        assert_eq!(fingerprint_dtd(&d), fingerprint_dtd(&d.clone()));
+        assert_ne!(fingerprint(&d), fingerprint(&d2));
+        assert_eq!(fingerprint(&d), fingerprint(&d.clone()));
     }
 
     #[test]
@@ -1124,10 +749,10 @@ mod tests {
         let d2 = Dtd::parse("r -> x+\nx -> ", &mut a).unwrap();
         let n1 = dtd_to_nta(&d1);
         let n2 = dtd_to_nta(&d2);
-        assert_ne!(fingerprint_nta(&n1), fingerprint_nta(&n2));
-        assert_eq!(fingerprint_nta(&n1), fingerprint_nta(&n1.clone()));
-        assert!(nta_eq(&n1, &n1.clone()));
-        assert!(!nta_eq(&n1, &n2));
+        assert_ne!(fingerprint(&n1), fingerprint(&n2));
+        assert_eq!(fingerprint(&n1), fingerprint(&n1.clone()));
+        assert_eq!(n1, n1.clone());
+        assert_ne!(n1, n2);
     }
 
     #[test]
@@ -1181,7 +806,7 @@ mod tests {
     /// cache, then typechecks `instance` through it twice: each run must
     /// get a fresh, correct product, while the occupant keeps its slot and
     /// the store never hears of the key.
-    fn check_collision<S: Clone, P: Clone>(
+    fn check_collision<S: Clone + Eq, P: Clone>(
         kind: &Kind<S, P>,
         key: (u64, usize),
         foreign: (S, P),
@@ -1198,10 +823,7 @@ mod tests {
         }
         let mut inner = cache.lock();
         let slot = &(kind.table)(&mut inner).slots[&key];
-        assert!(
-            (kind.same)(&slot.0, &occupant),
-            "the occupant keeps its slot"
-        );
+        assert!(slot.0 == occupant, "the occupant keeps its slot");
         let log = store.0.lock().unwrap();
         assert!(
             !log.contains(&(kind.artifact, key.0, key.1)),
@@ -1234,7 +856,7 @@ mod tests {
         let compiled_foreign = SchemaCache::new().compile_dtd(&foreign);
 
         // Schema level: a foreign DTD owns `dout`'s slot.
-        let key = (fingerprint_dtd(&dout), sigma);
+        let key = (fingerprint(&dout), sigma);
         let planted = (foreign.clone(), compiled_foreign.clone());
         check_collision(&SCHEMAS, key, planted, &dtds(&dout));
 
@@ -1243,7 +865,7 @@ mod tests {
         let lang = dout.rule(s).unwrap();
         let foreign_lang = foreign.rule(s).unwrap().clone();
         let foreign_dfa = compiled_foreign.rule(s).unwrap().to_shared_dfa(sigma);
-        let key = (fingerprint_lang(lang), sigma);
+        let key = (fingerprint(lang), sigma);
         check_collision(&RULES, key, (foreign_lang, foreign_dfa), &dtds(&dout));
 
         // Tree-automata level: a foreign output NTA owns the `B_out` slot.
@@ -1262,7 +884,7 @@ mod tests {
         };
         let sigma = delrelab::joint_sigma(ain, aout, instance.alphabet_size());
         let product = Arc::new(delrelab::bout_product(foreign_aout, sigma));
-        let key = (fingerprint_nta(aout), sigma);
+        let key = (fingerprint(aout), sigma);
         check_collision(&BOUTS, key, (foreign_aout.clone(), Ok(product)), &instance);
     }
 

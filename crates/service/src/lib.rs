@@ -91,8 +91,8 @@ pub use batch::{
 };
 pub use binfmt::{decode_instance, decode_stream, encode_instance, encode_stream, BinError};
 pub use cache::{
-    fingerprint_instance, instance_eq, typecheck_cached, warm_instance, ArtifactBackend,
-    CacheStats, ComponentFingerprints, SchemaCache,
+    fingerprint_instance, typecheck_cached, warm_instance, ArtifactBackend, CacheStats,
+    ComponentFingerprints, SchemaCache,
 };
 pub use error::{Loc, ParseError, PrintError};
 pub use incremental::{RetainedEngine, UpdateReuse};

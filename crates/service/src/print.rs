@@ -72,9 +72,7 @@ fn name_of(a: &Alphabet, s: Symbol) -> Result<&str, PrintError> {
 fn print_dtd(out: &mut String, which: &str, d: &Dtd, a: &Alphabet) -> Result<(), PrintError> {
     let _ = writeln!(out, "{which} dtd {{");
     let _ = writeln!(out, "  start {}", name_of(a, d.start())?);
-    let mut rules: Vec<(Symbol, &StringLang)> = d.rules().collect();
-    rules.sort_by_key(|(s, _)| *s);
-    for (sym, lang) in rules {
+    for (sym, lang) in d.sorted_rules() {
         let name = name_of(a, sym)?;
         match lang {
             StringLang::Regex(re) => {
@@ -213,8 +211,7 @@ fn print_transducer(out: &mut String, t: &Transducer, a: &Alphabet) -> Result<()
             out.push_str("  }\n");
         }
     }
-    let mut rules: Vec<(u32, Symbol, &xmlta_transducer::Rhs)> = t.rules().collect();
-    rules.sort_by_key(|&(q, s, _)| (q, s));
+    let rules = t.sorted_rules();
     // Per symbol: whether a state shares its name. The rhs grammar resolves
     // bare names as states first, so such an output element would re-parse
     // as that state.

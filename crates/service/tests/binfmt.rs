@@ -9,7 +9,7 @@ use typecheck_core::{typecheck, Instance, Schema};
 use xmlta_hardness::workloads::{self, Workload};
 use xmlta_service::batch::{run_batch, BatchItem};
 use xmlta_service::binfmt::{self, decode_instance, encode_instance};
-use xmlta_service::{instance_eq, parse_instance, print_instance, SchemaCache};
+use xmlta_service::{parse_instance, print_instance, SchemaCache};
 
 fn families() -> Vec<Workload> {
     vec![
@@ -34,7 +34,7 @@ fn assert_binary_roundtrip(name: &str, instance: &Instance) {
     assert!(binfmt::is_xtb(&bytes), "{name}: magic sniff");
     let decoded = decode_instance(&bytes).unwrap_or_else(|e| panic!("{name}: decode: {e}"));
     assert!(
-        instance_eq(instance, &decoded),
+        *instance == decoded,
         "{name}: decoded instance differs structurally"
     );
     // Canonical encoding: equal instances encode to equal bytes.
@@ -67,7 +67,7 @@ fn text_to_binary_to_instance_is_identity_on_parses() {
         let parsed = parse_instance(&printed).expect("printed form parses");
         let bytes = encode_instance(&parsed).expect("encodes");
         let decoded = decode_instance(&bytes).expect("decodes");
-        assert!(instance_eq(&parsed, &decoded), "{}", w.name);
+        assert!(parsed == decoded, "{}", w.name);
         assert_eq!(
             print_instance(&parsed).expect("prints"),
             print_instance(&decoded).expect("prints"),
@@ -194,7 +194,7 @@ fn forged_counts_and_references_are_rejected() {
     let w = workloads::filtering_family(2);
     let bytes = encode_instance(&w.instance).expect("encodes");
     let decoded = decode_instance(&bytes).expect("valid frame");
-    assert!(instance_eq(&w.instance, &decoded));
+    assert!(w.instance == decoded);
 }
 
 #[test]
@@ -326,7 +326,7 @@ fn delta_streams_roundtrip_structurally() {
     assert_eq!(decoded.len(), fleet.len());
     for ((want_name, want), (got_name, got)) in fleet.iter().zip(&decoded) {
         assert_eq!(want_name, got_name);
-        assert!(instance_eq(want, got), "{want_name} differs structurally");
+        assert!(want == got, "{want_name} differs structurally");
     }
     // Canonical: re-encoding the decoded fleet reproduces the bytes.
     let reencoded =
@@ -377,7 +377,7 @@ fn delta_streams_share_the_schema_prefix() {
     let decoded = binfmt::decode_stream(&zigzag).expect("decodes");
     for ((want_name, want), (got_name, got)) in interleaved.iter().zip(&decoded) {
         assert_eq!(want_name, got_name);
-        assert!(instance_eq(want, got), "{want_name} differs");
+        assert!(want == got, "{want_name} differs");
     }
 }
 
@@ -395,7 +395,7 @@ fn delta_stream_truncations_and_corruptions_are_total() {
                 assert!(decoded.len() <= fleet.len());
                 for ((want_name, want), (got_name, got)) in fleet.iter().zip(&decoded) {
                     assert_eq!(want_name, got_name);
-                    assert!(instance_eq(want, got));
+                    assert!(want == got);
                 }
             }
             Err(e) => assert!(
@@ -589,7 +589,7 @@ fn delta_sections_ship_rule_edits_compactly() {
     assert_eq!(decoded.len(), versions.len());
     for ((want_name, want), (got_name, got)) in versions.iter().zip(&decoded) {
         assert_eq!(want_name, got_name);
-        assert!(instance_eq(want, got), "{want_name} differs after delta");
+        assert!(want == got, "{want_name} differs after delta");
     }
     let reencoded =
         binfmt::encode_stream(decoded.iter().map(|(n, i)| (n.as_str(), i))).expect("encodes");
@@ -612,10 +612,7 @@ fn delta_sections_ship_rule_edits_compactly() {
     let decoded = binfmt::decode_stream(&zigzag).expect("decodes");
     for ((want_name, want), (got_name, got)) in mixed.iter().zip(&decoded) {
         assert_eq!(want_name, got_name);
-        assert!(
-            instance_eq(want, got),
-            "{want_name} differs in mixed stream"
-        );
+        assert!(want == got, "{want_name} differs in mixed stream");
     }
 }
 
@@ -709,7 +706,7 @@ proptest! {
         let decoded = binfmt::decode_stream(&stream).expect("decodes");
         prop_assert_eq!(decoded.len(), named.len());
         for ((_, want), (_, got)) in named.iter().zip(&decoded) {
-            prop_assert!(instance_eq(want, got));
+            prop_assert!(want == got);
         }
         let cut = (seed as usize * 37) % stream.len();
         if let Err(e) = binfmt::decode_stream(&stream[..cut]) {

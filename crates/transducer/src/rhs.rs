@@ -8,7 +8,7 @@ pub type StateId = u32;
 /// A node of a rule's right-hand side: an element of `H_Σ(Q ∪ (Q × P))` —
 /// hedges over Σ whose leaves may carry states or state–selector pairs
 /// (Sections 2.3 and 4).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RhsNode {
     /// An output element with nested right-hand-side children.
     Elem(Symbol, Vec<RhsNode>),
@@ -22,7 +22,7 @@ pub enum RhsNode {
 }
 
 /// A right-hand side: a hedge of [`RhsNode`]s.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct Rhs {
     /// Top-level nodes, in output order.
     pub nodes: Vec<RhsNode>,

@@ -8,7 +8,7 @@ use xmlta_tree::{Hedge, Tree, TreePath};
 use xmlta_xpath::{eval, parser, Pattern};
 
 /// A node selector attached to a state in a right-hand side (Section 4).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Selector {
     /// An XPath pattern `·/φ` or `·//φ`.
     XPath(Pattern),
@@ -27,7 +27,7 @@ pub enum Selector {
 /// [`Transducer::with_rule`]/[`Transducer::without_rule`], shares every
 /// rule it does not replace, so an edit costs its one rule, not the whole
 /// rule set.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transducer {
     state_names: Vec<String>,
     initial: StateId,
@@ -68,6 +68,16 @@ impl Transducer {
     /// Iterates over all rules.
     pub fn rules(&self) -> impl Iterator<Item = (StateId, Symbol, &Rhs)> {
         self.rules.iter().map(|(&(q, a), rhs)| (q, a, &**rhs))
+    }
+
+    /// All rules in `(state, symbol)` order — the canonical iteration for
+    /// anything that must be deterministic across equal transducers
+    /// (printing, encoding, fingerprints).
+    pub fn sorted_rules(&self) -> Vec<(StateId, Symbol, &Rhs)> {
+        let mut rules: Vec<_> = self.rules().collect();
+        // Map keys are distinct, so the unstable sort is deterministic.
+        rules.sort_unstable_by_key(|&(q, a, _)| (q, a));
+        rules
     }
 
     /// The interned selectors.

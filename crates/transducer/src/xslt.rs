@@ -14,9 +14,7 @@ use xmlta_base::Alphabet;
 /// Figure 1 (templates only, started in the initial state's mode).
 pub fn to_xslt(t: &Transducer, alphabet: &Alphabet) -> String {
     let mut out = String::new();
-    let mut rules: Vec<_> = t.rules().collect();
-    rules.sort_by_key(|(q, a, _)| (*q, a.index()));
-    for (q, a, rhs) in rules {
+    for (q, a, rhs) in t.sorted_rules() {
         let mode = &t.state_names()[q as usize];
         out.push_str(&format!(
             "<xsl:template match=\"{}\" mode=\"{}\">\n",
